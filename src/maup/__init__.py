@@ -43,15 +43,8 @@ from .prompting import (
     negative_prompts,
     positive_prompts,
 )
-from .prototypes import (
-    Prototype,
-    PrototypeSet,
-    masked_average_pool,
-    periphery_prototype,
-    regional_prototypes,
-)
+from .prototypes import masked_average_pool, periphery_prototype, regional_prototypes
 from .regions import (
-    Partition,
     StructuringElement,
     area_and_perimeter,
     dilate,
@@ -60,8 +53,6 @@ from .regions import (
     voronoi_partition,
 )
 from .simmaps import (
-    CandidateSet,
-    SimilarityStack,
     cosine_map,
     extract_candidates,
     mean_map,

@@ -81,7 +81,6 @@ def build_parser() -> _Parser:
     ab = sub.add_parser("ablate", help="run a toggle/region-count sweep over phantoms")
     ab.add_argument("--config", required=True, help="key=value sweep file")
     ab.add_argument("--out", required=True, help="CSV report path")
-    ab.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -202,7 +201,6 @@ def _cmd_ablate(args) -> int:
         seeds=seeds,
         base_config=base,
         threshold=get("threshold", 0.5, float),
-        workers=args.workers,
     )
     report.write_csv(args.out)
     failed = sum(1 for r in report.rows if r.dice is None)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,13 +30,12 @@ from .prompting import (
 )
 from .prototypes import periphery_prototype, regional_prototypes
 from .regions import (
-    Partition,
     StructuringElement,
     farthest_point_seeds,
     periphery_mask,
     voronoi_partition,
 )
-from .simmaps import cosine_map, mean_map, similarity_stack, uncertainty_map, write_pgm
+from .simmaps import mean_map, similarity_stack, uncertainty_map, write_pgm
 from .tensors import BitMask, FeatureMap, PointRC, ScalarMap, load_tensor, save_tensor
 
 
@@ -67,7 +66,7 @@ class EpisodeResult:
     """In-memory artifacts of one episode run."""
 
     prompts: PromptSet
-    partition: Partition
+    partition: np.ndarray  # H x W support label map, -1 off the foreground
     mean: ScalarMap
     uncertainty: ScalarMap
     negative: ScalarMap | None
@@ -173,15 +172,16 @@ def execute_episode(
     seeds = farthest_point_seeds(support_mask, n_regions, fps_seed)
     partition = voronoi_partition(support_mask, seeds)
     protos = regional_prototypes(support_features, partition)
-    stack = similarity_stack(query_features, protos)
-    mean = mean_map(stack)
-    uncert = uncertainty_map(stack, mean)
-
-    neg_map = None
     if cfg.np:
         band = periphery_mask(support_mask, StructuringElement.disk(cfg.radius))
         if band.foreground_count > 0:
-            neg_map = cosine_map(query_features, periphery_prototype(support_features, band))
+            protos = np.vstack([protos, periphery_prototype(support_features, band)])
+    # one product for all maps; the periphery prototype, when present, is the last row
+    stack = similarity_stack(query_features, protos)
+    regional = stack[: len(seeds)]
+    mean = mean_map(regional)
+    uncert = uncertainty_map(regional, mean)
+    neg_map = ScalarMap(stack[len(seeds)]) if len(stack) > len(seeds) else None
 
     prompts = generate_prompts(mean, uncert, neg_map, cfg)
     return EpisodeResult(
@@ -197,7 +197,7 @@ def execute_episode(
 def _load(path, expect, stage: str):
     try:
         return load_tensor(path, expect=expect)
-    except (MaupError, TypeError) as e:
+    except MaupError as e:
         raise type(e)(f"{stage}: {e}") from e
 
 
@@ -346,42 +346,27 @@ def ablation_run(
     seeds: list[int] = (0,),
     base_config: PromptConfig | None = None,
     threshold: float = 0.5,
-    workers: int = 1,
 ) -> AblationReport:
     """Sweep toggle rows (and optionally region counts) over phantom families.
 
     Every (family, toggle, n_f, seed) cell is one independent episode scored
     with the surrogate segmenter. Failed cells keep their row with an empty
-    dice and a failure note. Rows come back sorted, so reports are identical
-    for any worker count.
+    dice and a failure note. Rows come back sorted by family name, toggles,
+    n_f and seed.
     """
     if not families or not toggles:
         raise ValueError("need at least one family and one toggle row")
     base = base_config if base_config is not None else PromptConfig(scale=1)
     nfs = list(nf_values) if nf_values else [base.n_regions]
 
-    cells = [
-        (fam, tog, nf, seed)
-        for fam in families
-        for tog in toggles
-        for nf in nfs
-        for seed in seeds
-    ]
-
-    def run_cell(cell) -> AblationRow:
-        fam, (mmp, ump, np_), nf, seed = cell
+    rows = []
+    for fam, (mmp, ump, np_), nf, seed in product(families, toggles, nfs, seeds):
         try:
             cfg = replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1)
             d, _ = run_phantom_episode(replace(fam, seed=seed), cfg, threshold)
-            return AblationRow(fam.family, mmp, ump, np_, nf, seed, d, "ok")
+            rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, d, "ok"))
         except MaupError as e:
-            return AblationRow(fam.family, mmp, ump, np_, nf, seed, None, f"failed: {e}")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+            rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, None, f"failed: {e}"))
     rows.sort(key=AblationRow.sort_key)
     return AblationReport(rows=tuple(rows))
 

@@ -241,7 +241,7 @@ def kmeans(points: list[PointRC], k: int, seed) -> list[PointRC]:
 
 def positive_prompts(
     mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig, seed
-) -> list[PromptPoint]:
+) -> tuple[list[PromptPoint], int, float | None, float | None]:
     """Select tagged positive prompts from the enabled paths.
 
     The mean path contributes k cluster centers of the thresholded mean map;
@@ -249,6 +249,9 @@ def positive_prompts(
     10 times on collision with already selected points and then falling back
     to the lexicographically smallest unused candidates. With fewer than 2
     usable candidates the uncertainty path contributes nothing.
+
+    Returns (prompts, k, tau_mean, tau_uncert); k is 0 and a threshold None
+    for a path that is off.
     """
     if not (cfg.mmp or cfg.ump):
         raise ConfigError("at least one positive path (mmp or ump) must be enabled")
@@ -257,33 +260,35 @@ def positive_prompts(
     rng = np.random.default_rng(seed)
     out: list[PromptPoint] = []
     taken: set[PointRC] = set()
+    k = 0
+    tau_mean = tau_uncert = None
 
     if cfg.mmp:
         tau_mean = percentile_threshold(mean, cfg.percentile)
         q_mean = extract_candidates(mean, tau_mean, "mean")
         k = adaptive_k(complexity(mean, tau_mean), cfg.gamma, cfg.n_min, cfg.n_max)
-        for p in kmeans(list(q_mean.points), k, rng):
+        for p in kmeans(q_mean, k, rng):
             out.append(PromptPoint(p, MEAN_TAG))
             taken.add(p)
 
     if cfg.ump:
         tau_uncert = percentile_threshold(uncert, cfg.percentile)
         q_uncert = extract_candidates(uncert, tau_uncert, "uncertainty")
-        usable = [p for p in q_uncert.points if p not in taken]
+        usable = [p for p in q_uncert if p not in taken]
         if len(usable) >= N_UNCERTAINTY_PICKS:
             for _ in range(N_UNCERTAINTY_PICKS):
                 pick = None
                 for _ in range(MAX_REDRAWS):
-                    cand = q_uncert.points[int(rng.integers(len(q_uncert.points)))]
+                    cand = q_uncert[int(rng.integers(len(q_uncert)))]
                     if cand not in taken:
                         pick = cand
                         break
                 if pick is None:
-                    pick = min(p for p in q_uncert.points if p not in taken)
+                    pick = min(p for p in q_uncert if p not in taken)
                 out.append(PromptPoint(pick, UNCERTAINTY_TAG))
                 taken.add(pick)
 
-    return out
+    return out, k, tau_mean, tau_uncert
 
 
 def negative_prompts(
@@ -292,21 +297,21 @@ def negative_prompts(
     n_neg: int,
     seed,
     percentile: float = 95.0,
-) -> list[PointRC]:
+) -> tuple[list[PointRC], float]:
     """Spread negative prompts over the hottest periphery-similarity pixels.
 
-    Candidates colliding with positives are removed first. Returns an empty
-    list (never raises) when nothing survives; callers flag that condition.
+    Candidates colliding with positives are removed first. Returns the
+    prompts and the threshold; the list is empty (never raises) when nothing
+    survives, and callers flag that condition.
     """
     if n_neg < 1:
         raise ValueError(f"need n_neg >= 1, got {n_neg}")
     tau_neg = percentile_threshold(neg_map, percentile)
-    q_neg = extract_candidates(neg_map, tau_neg, "negative")
     pos = set(positives)
-    remaining = [p for p in q_neg.points if p not in pos]
+    remaining = [p for p in extract_candidates(neg_map, tau_neg, "negative") if p not in pos]
     if not remaining:
-        return []
-    return kmeans(remaining, min(n_neg, len(remaining)), seed)
+        return [], tau_neg
+    return kmeans(remaining, min(n_neg, len(remaining)), seed), tau_neg
 
 
 def generate_prompts(
@@ -323,25 +328,17 @@ def generate_prompts(
     stream split the episode pipeline uses.
     """
     _, pos_seed, neg_seed = episode_seed_streams(cfg.seed)
-    positives = positive_prompts(mean, uncert, cfg, pos_seed)
-
-    k_used = 0
-    tau_mean = tau_uncert = tau_neg = None
-    if cfg.mmp:
-        tau_mean = percentile_threshold(mean, cfg.percentile)
-        k_used = adaptive_k(complexity(mean, tau_mean), cfg.gamma, cfg.n_min, cfg.n_max)
-    if cfg.ump:
-        tau_uncert = percentile_threshold(uncert, cfg.percentile)
+    positives, k_used, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, pos_seed)
 
     negatives: list[PointRC] = []
+    tau_neg = None
     flags: list[str] = []
     if not cfg.np:
         pass
     elif neg_map is None:
         flags.append("np-disabled-empty-periphery")
     else:
-        tau_neg = percentile_threshold(neg_map, cfg.percentile)
-        negatives = negative_prompts(
+        negatives, tau_neg = negative_prompts(
             neg_map, [p.point for p in positives], cfg.n_neg, neg_seed, cfg.percentile
         )
         if not negatives:

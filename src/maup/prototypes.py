@@ -1,88 +1,51 @@
 """Prototype extraction by masked average pooling.
 
-A prototype is the channel-space mean feature vector of a masked region.
-Sums are accumulated in float64 over pixels in row-major order so results
-are reproducible bit for bit.
+A prototype is the channel-space mean feature vector of a masked region,
+a length-C float64 array; the prototypes of a partition are the rows of one
+P x C matrix. Sums are accumulated in float64 over pixels in row-major order
+so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
 from .errors import EmptyMaskError, EmptyPeripheryError, ShapeError
-from .regions import Partition
 from .tensors import BitMask, FeatureMap
 
 
-@dataclass(frozen=True, eq=False)
-class Prototype:
-    """Length-C mean feature vector of one region."""
-
-    values: np.ndarray
-    source: Union[int, str, None] = None
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ShapeError("prototype must be a non-empty vector")
-        if not np.isfinite(arr).all():
-            raise ShapeError("prototype contains non-finite values")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
+def _pool(f: FeatureMap, sel: np.ndarray) -> np.ndarray:
+    """Mean feature vector over the pixels where the boolean H x W ``sel`` is set."""
+    count = int(sel.sum())
+    if count == 0:
+        raise EmptyMaskError("masked average pool over an empty mask")
+    flat = f.data.reshape(f.channels, -1)
+    return flat[:, sel.reshape(-1)].sum(axis=1, dtype=np.float64) / count
 
 
-@dataclass(frozen=True)
-class PrototypeSet:
-    """Ordered collection of prototypes with a uniform channel count."""
-
-    prototypes: tuple[Prototype, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "prototypes", tuple(self.prototypes))
-        if not self.prototypes:
-            raise ValueError("prototype set must be non-empty")
-        c = self.prototypes[0].channels
-        if any(p.channels != c for p in self.prototypes):
-            raise ShapeError("prototypes mix channel counts")
-
-    def __len__(self) -> int:
-        return len(self.prototypes)
-
-    def __iter__(self):
-        return iter(self.prototypes)
-
-
-def masked_average_pool(f: FeatureMap, m: BitMask, source=None) -> Prototype:
+def masked_average_pool(f: FeatureMap, m: BitMask) -> np.ndarray:
     """Mean feature vector over the pixels where the mask is set."""
     if (f.height, f.width) != (m.height, m.width):
         raise ShapeError(
             f"feature map is {f.height}x{f.width} but mask is {m.height}x{m.width}"
         )
-    count = m.foreground_count
-    if count == 0:
-        raise EmptyMaskError("masked average pool over an empty mask")
-    flat = f.data.reshape(f.channels, -1)
-    sel = m.bits.reshape(-1).astype(bool)
-    total = flat[:, sel].sum(axis=1, dtype=np.float64)
-    return Prototype(values=total / count, source=source)
+    return _pool(f, m.bits.astype(bool))
 
 
-def regional_prototypes(f_s: FeatureMap, part: Partition) -> PrototypeSet:
-    """One prototype per partition region, in region order."""
-    protos = tuple(
-        masked_average_pool(f_s, region, source=i) for i, region in enumerate(part.regions)
-    )
-    return PrototypeSet(prototypes=protos)
+def regional_prototypes(f_s: FeatureMap, labels: np.ndarray) -> np.ndarray:
+    """P x C matrix whose row k pools the pixels labelled k, for k in [0, max label].
+
+    ``labels`` is a label map from :func:`voronoi_partition`; an empty label
+    raises EmptyMaskError.
+    """
+    if labels.shape != (f_s.height, f_s.width):
+        raise ShapeError(f"feature map is {f_s.height}x{f_s.width} but labels are {labels.shape}")
+    n = max(int(labels.max()), 0) + 1
+    return np.stack([_pool(f_s, labels == k) for k in range(n)])
 
 
-def periphery_prototype(f_s: FeatureMap, periphery: BitMask) -> Prototype:
+def periphery_prototype(f_s: FeatureMap, periphery: BitMask) -> np.ndarray:
     """Prototype of the band surrounding the support foreground."""
     if periphery.foreground_count == 0:
         raise EmptyPeripheryError("periphery band is empty")
-    return masked_average_pool(f_s, periphery, source="periphery")
+    return masked_average_pool(f_s, periphery)

@@ -1,9 +1,10 @@
 """Binary-mask geometry: foreground partitioning, dilation, periphery, metrics.
 
 The foreground of a support mask is split into spatially compact regions by
-seeding points with farthest-point sampling and assigning every foreground
-pixel to its nearest seed (a discrete Voronoi partition). Dilation and the
-periphery band use a discrete disk structuring element.
+seeding points with farthest-point sampling and labelling every foreground
+pixel with its nearest seed (a discrete Voronoi partition, held as one int
+label map). Dilation and the periphery band use a discrete disk
+structuring element.
 """
 
 from __future__ import annotations
@@ -45,31 +46,6 @@ class StructuringElement:
         return cls(radius=radius)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint, exhaustive split of a foreground mask into non-empty regions."""
-
-    regions: tuple[BitMask, ...]
-    parent: BitMask
-
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        if not self.regions:
-            raise ValueError("partition must contain at least one region")
-        total = np.zeros_like(self.parent.bits, dtype=np.int64)
-        for region in self.regions:
-            if region.foreground_count == 0:
-                raise ValueError("partition regions must be non-empty")
-            total += region.bits
-        if (total > 1).any():
-            raise ValueError("partition regions overlap")
-        if not np.array_equal(total.astype(np.uint8), self.parent.bits):
-            raise ValueError("partition regions do not cover the parent foreground")
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-
 def farthest_point_seeds(fg: BitMask, n: int, seed) -> list[PointRC]:
     """Pick up to ``n`` well-spread foreground pixels.
 
@@ -94,11 +70,12 @@ def farthest_point_seeds(fg: BitMask, n: int, seed) -> list[PointRC]:
     return [PointRC(int(r), int(c)) for r, c in coords[chosen]]
 
 
-def voronoi_partition(fg: BitMask, seeds: list[PointRC]) -> Partition:
-    """Assign each foreground pixel to its nearest seed (squared Euclidean).
+def voronoi_partition(fg: BitMask, seeds: list[PointRC]) -> np.ndarray:
+    """Label each foreground pixel with the index of its nearest seed (squared Euclidean).
 
-    Ties go to the seed with the lowest index. Every seed claims at least
-    itself, so all regions are non-empty.
+    Returns an H x W int64 label map holding -1 off the foreground. Ties go
+    to the seed with the lowest index. Every seed claims at least itself, so
+    every label in [0, len(seeds)) occurs.
     """
     if not seeds:
         raise SeedError("need at least one seed")
@@ -107,17 +84,13 @@ def voronoi_partition(fg: BitMask, seeds: list[PointRC]) -> Partition:
     for s in seeds:
         if not (0 <= s.row < fg.height and 0 <= s.col < fg.width) or fg.bits[s.row, s.col] != 1:
             raise SeedError(f"seed {s} lies outside the foreground")
-    coords = np.argwhere(fg.bits == 1)
+    inside = fg.bits == 1
+    coords = np.argwhere(inside)
     seed_arr = np.asarray(seeds, dtype=np.int64)
     d2 = ((coords[None, :, :] - seed_arr[:, None, :]) ** 2).sum(axis=2)
-    assign = np.argmin(d2, axis=0)  # first min = lowest seed index
-    regions = []
-    for k in range(len(seeds)):
-        bits = np.zeros_like(fg.bits)
-        sel = coords[assign == k]
-        bits[sel[:, 0], sel[:, 1]] = 1
-        regions.append(BitMask(bits))
-    return Partition(regions=tuple(regions), parent=fg)
+    labels = np.full(fg.bits.shape, -1, dtype=np.int64)
+    labels[inside] = np.argmin(d2, axis=0)  # first min = lowest seed index
+    return labels
 
 
 def dilate(m: BitMask, se: StructuringElement) -> BitMask:

@@ -1,103 +1,61 @@
 """Similarity statistics over a query feature map.
 
-Each prototype yields a per-pixel cosine similarity map; a stack of those
-maps is reduced to a mean map and a population-variance uncertainty map.
-Candidate pixels are extracted by thresholding a map at a percentile of its
-own values.
+Each prototype (a row of a P x C matrix) yields a per-pixel cosine
+similarity map; the P x H x W stack of those maps is reduced to a mean map
+and a population-variance uncertainty map. Candidate pixels are extracted
+by thresholding a map at a percentile of its own values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyCandidateError,
-    EmptyMaskError,
-    EmptyStackError,
-    ShapeError,
-)
-from .prototypes import Prototype, PrototypeSet
+from .errors import EmptyCandidateError, EmptyMaskError, EmptyStackError, ShapeError
 from .tensors import BitMask, FeatureMap, PointRC, ScalarMap
 
 
-@dataclass(frozen=True)
-class SimilarityStack:
-    """Cosine similarity maps, one per prototype, in prototype order."""
+def similarity_stack(f_q: FeatureMap, protos: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every query pixel to every row of a P x C matrix.
 
-    maps: tuple[ScalarMap, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(self.maps))
-        if self.maps:
-            shape = self.maps[0].values.shape
-            for m in self.maps:
-                if m.values.shape != shape:
-                    raise ShapeError("similarity maps mix shapes")
-                if float(m.values.min()) < -1.0 or float(m.values.max()) > 1.0:
-                    raise DataError("similarity values must lie in [-1, 1]")
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Pixels of one map at or above a threshold, in row-major order."""
-
-    points: tuple[PointRC, ...]
-    threshold: float
-    source_map: str  # "mean" | "uncertainty" | "negative"
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def cosine_map(f_q: FeatureMap, p: Prototype) -> ScalarMap:
-    """Per-pixel cosine similarity between query features and a prototype.
-
-    Pixels (or prototypes) with zero norm get similarity 0 instead of NaN.
+    Returns P x H x W float32 maps in row order, computed in float64 by one
+    (P x C) @ (C x HW) product and rounded once to float32. Pixels or
+    prototypes with zero norm get similarity 0 instead of NaN.
     """
-    if f_q.channels != p.channels:
+    protos = np.asarray(protos, dtype=np.float64)
+    if protos.ndim != 2 or protos.shape[1] != f_q.channels:
         raise ShapeError(
-            f"feature map has {f_q.channels} channels, prototype has {p.channels}"
+            f"feature map has {f_q.channels} channels, prototypes are {protos.shape}"
         )
-    feats = f_q.data.astype(np.float64)
-    dots = np.tensordot(p.values, feats, axes=(0, 0))
+    feats = f_q.data.reshape(f_q.channels, -1).astype(np.float64)
+    dots = protos @ feats
     pix_norm = np.sqrt((feats * feats).sum(axis=0))
-    denom = pix_norm * float(np.linalg.norm(p.values))
+    denom = np.linalg.norm(protos, axis=1)[:, None] * pix_norm
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = np.where(denom > 0.0, dots / denom, 0.0)
-    return ScalarMap(np.clip(sims, -1.0, 1.0))
+    return np.clip(sims, -1.0, 1.0).astype(np.float32).reshape(-1, f_q.height, f_q.width)
 
 
-def similarity_stack(f_q: FeatureMap, ps: PrototypeSet) -> SimilarityStack:
-    """Cosine map for every prototype, order preserved."""
-    return SimilarityStack(maps=tuple(cosine_map(f_q, p) for p in ps))
+def cosine_map(f_q: FeatureMap, p: np.ndarray) -> ScalarMap:
+    """Per-pixel cosine similarity to one length-C prototype: a one-row stack."""
+    return ScalarMap(similarity_stack(f_q, np.asarray(p)[None])[0])
 
 
-def mean_map(stack: SimilarityStack) -> ScalarMap:
-    """Pixelwise arithmetic mean over the stack."""
+def mean_map(stack: np.ndarray) -> ScalarMap:
+    """Pixelwise arithmetic mean over a P x H x W stack."""
     if len(stack) == 0:
         raise EmptyStackError("cannot average an empty similarity stack")
-    arr = np.stack([m.values for m in stack.maps])
-    return ScalarMap(arr.mean(axis=0, dtype=np.float64))
+    return ScalarMap(stack.mean(axis=0, dtype=np.float64))
 
 
-def uncertainty_map(stack: SimilarityStack, mean: ScalarMap) -> ScalarMap:
+def uncertainty_map(stack: np.ndarray, mean: ScalarMap) -> ScalarMap:
     """Pixelwise population variance (divisor N) around the given mean."""
     if len(stack) == 0:
         raise EmptyStackError("cannot take variance of an empty similarity stack")
-    if stack.maps[0].values.shape != mean.values.shape:
+    if stack.shape[1:] != mean.values.shape:
         raise ShapeError("mean map shape does not match the stack")
-    arr = np.stack([m.values for m in stack.maps]).astype(np.float64)
-    diff = arr - mean.values.astype(np.float64)
+    diff = stack.astype(np.float64) - mean.values.astype(np.float64)
     return ScalarMap((diff * diff).mean(axis=0))
 
 
@@ -118,13 +76,12 @@ def percentile_threshold(map_: ScalarMap, pct: float, roi: BitMask | None = None
     return float(np.percentile(vals, pct))
 
 
-def extract_candidates(map_: ScalarMap, tau: float, tag: str) -> CandidateSet:
-    """All pixels with value >= tau, in row-major order."""
+def extract_candidates(map_: ScalarMap, tau: float, tag: str) -> list[PointRC]:
+    """All pixels with value >= tau, in row-major order; ``tag`` names the map in errors."""
     rows, cols = np.nonzero(map_.values.astype(np.float64) >= tau)
     if len(rows) == 0:
         raise EmptyCandidateError(f"no pixel of the {tag} map reaches {tau}")
-    points = tuple(PointRC(int(r), int(c)) for r, c in zip(rows, cols))
-    return CandidateSet(points=points, threshold=float(tau), source_map=tag)
+    return [PointRC(r, c) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 def write_pgm(map_: ScalarMap, path) -> None:

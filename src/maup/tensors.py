@@ -173,9 +173,10 @@ def load_tensor(path, expect: type | None = None) -> Tensor:
 
     The concrete type follows from the header: rank 3 + f32 is a FeatureMap,
     rank 2 + f32 a ScalarMap, rank 2 + u8 a BitMask. Pass ``expect`` to insist
-    on one of those types; a mismatch raises TypeError.
+    on one of those types.
 
-    Raises FormatError for malformed headers or truncated payloads and
+    Raises FormatError for malformed headers, truncated payloads, rank-3
+    uint8 data (no tensor type) or a type other than ``expect``, and
     DataError for payload values outside the type's domain.
     """
     raw = Path(path).read_bytes()
@@ -212,13 +213,13 @@ def load_tensor(path, expect: type | None = None) -> Tensor:
         tensor: Tensor = FeatureMap(arr) if rank == 3 else ScalarMap(arr)
     else:
         if rank == 3:
-            raise TypeError(f"{path}: no tensor type for rank-3 uint8 data")
+            raise FormatError(f"{path}: no tensor type for rank-3 uint8 data")
         arr = np.frombuffer(raw, dtype=np.uint8, count=count, offset=dims_end).reshape(dims)
         if not (arr <= 1).all():
             raise DataError(f"{path}: mask payload contains values outside {{0, 1}}")
         tensor = BitMask(arr.copy())
     if expect is not None and not isinstance(tensor, expect):
-        raise TypeError(
+        raise FormatError(
             f"{path}: holds a {type(tensor).__name__}, caller requested {expect.__name__}"
         )
     return tensor

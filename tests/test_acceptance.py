@@ -24,7 +24,7 @@ from maup.prompting import (
     adaptive_k,
     lloyd_cluster,
 )
-from maup.prototypes import Prototype, masked_average_pool
+from maup.prototypes import masked_average_pool
 from maup.regions import (
     StructuringElement,
     dilate,
@@ -32,7 +32,6 @@ from maup.regions import (
     voronoi_partition,
 )
 from maup.simmaps import (
-    SimilarityStack,
     cosine_map,
     mean_map,
     percentile_threshold,
@@ -81,20 +80,21 @@ def test_oracle_equivalence():
     for seed in range(n):
         rng, f, m = random_instance(seed)
 
-        pooled = masked_average_pool(f, m).values
+        pooled = masked_average_pool(f, m)
         assert np.allclose(pooled, pool_oracle(f.data, m.bits), rtol=RTOL, atol=ATOL)
 
-        proto = Prototype(values=rng.standard_normal(f.channels))
+        proto = rng.standard_normal(f.channels)
         cos = cosine_map(f, proto).values
-        assert np.allclose(cos, cosine_oracle(f.data, proto.values), rtol=RTOL, atol=ATOL)
+        assert np.allclose(cos, cosine_oracle(f.data, proto), rtol=RTOL, atol=ATOL)
 
-        maps = tuple(
-            ScalarMap(rng.uniform(-1, 1, (f.height, f.width)).astype(np.float32))
-            for _ in range(int(rng.integers(2, 7)))
+        stack = np.stack(
+            [
+                rng.uniform(-1, 1, (f.height, f.width)).astype(np.float32)
+                for _ in range(int(rng.integers(2, 7)))
+            ]
         )
-        stack = SimilarityStack(maps=maps)
         mu = mean_map(stack)
-        arrs = [mm.values for mm in stack.maps]
+        arrs = list(stack)
         assert np.allclose(mu.values, mean_oracle(arrs), rtol=RTOL, atol=ATOL)
         u = uncertainty_map(stack, mu)
         assert np.allclose(u.values, variance_oracle(arrs), rtol=RTOL, atol=ATOL)
@@ -105,11 +105,9 @@ def test_oracle_equivalence():
 
         n_seeds = min(int(rng.integers(1, 7)), m.foreground_count)
         seeds = farthest_point_seeds(m, n_seeds, seed)
-        part = voronoi_partition(m, seeds)
+        labels = voronoi_partition(m, seeds)
         expected = voronoi_oracle(m.bits, [(s.row, s.col) for s in seeds])
-        for i, region in enumerate(part.regions):
-            for y, x in np.argwhere(region.bits == 1):
-                assert expected[(int(y), int(x))] == i
+        assert {(int(y), int(x)): int(labels[y, x]) for y, x in np.argwhere(labels >= 0)} == expected
 
         pct = float(rng.uniform(1.0, 99.0))
         smap = ScalarMap(rng.standard_normal((f.height, f.width)).astype(np.float32))
@@ -130,14 +128,12 @@ def test_variance_identity():
     for seed in range(200):
         rng = np.random.default_rng(1_000 + seed)
         h, w = int(rng.integers(2, 33)), int(rng.integers(2, 33))
-        maps = tuple(
-            ScalarMap(rng.uniform(-1, 1, (h, w)).astype(np.float32))
-            for _ in range(int(rng.integers(2, 9)))
+        stack = np.stack(
+            [rng.uniform(-1, 1, (h, w)).astype(np.float32) for _ in range(int(rng.integers(2, 9)))]
         )
-        stack = SimilarityStack(maps=maps)
         mu = mean_map(stack)
         u = uncertainty_map(stack, mu)
-        arr = np.stack([m.values.astype(np.float64) for m in stack.maps])
+        arr = stack.astype(np.float64)
         identity = (arr * arr).mean(axis=0) - mu.values.astype(np.float64) ** 2
         worst_gap = max(worst_gap, float(np.abs(u.values - identity).max()))
         worst_min = min(worst_min, float(u.values.min()))
@@ -203,13 +199,10 @@ def test_containment_suite():
             assert res.negative.values.astype(np.float64)[g.row, g.col] >= res.prompts.tau_neg
         assert not pos_points & neg_points
 
-        # partition regions: pairwise disjoint, exact cover
-        total = np.zeros_like(ph.support_mask.bits, dtype=np.int64)
-        for region in res.partition.regions:
-            assert region.foreground_count > 0
-            total += region.bits
-        assert total.max() <= 1
-        assert np.array_equal(total.astype(np.uint8), ph.support_mask.bits)
+        # partition label map: -1 exactly off the foreground, every region non-empty
+        labels = res.partition
+        assert np.array_equal(labels >= 0, ph.support_mask.bits == 1)
+        assert np.array_equal(np.unique(labels[labels >= 0]), np.arange(res.n_regions))
         checked += 1
     report("containment suite", checked == 100, f"{checked} phantom episodes")
 
@@ -249,17 +242,17 @@ def test_determinism():
         threaded = list(pool.map(one_episode, range(4)))
     same_threads = all(t == serial for t in threaded)
 
-    # a whole sweep with 1 vs 4 workers
+    # a whole sweep, run twice
     fams = [PhantomSpec(family="disk", noise=0.1)]
     toggles = [(True, True, True)]
-    r1 = ablation_run(fams, toggles, nf_values=[5, 30], seeds=list(range(4)), workers=1)
-    r4 = ablation_run(fams, toggles, nf_values=[5, 30], seeds=list(range(4)), workers=4)
-    same_sweep = r1 == r4
+    r1 = ablation_run(fams, toggles, nf_values=[5, 30], seeds=list(range(4)))
+    r2 = ablation_run(fams, toggles, nf_values=[5, 30], seeds=list(range(4)))
+    same_sweep = r1 == r2
 
     report(
         "determinism",
         same_run and same_threads and same_sweep,
-        "episode re-run, thread pool, and 1-vs-4-worker sweep all byte-identical",
+        "episode re-run, thread pool, and repeated sweep all byte-identical",
     )
 
 

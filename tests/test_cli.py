@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maup
 from maup.cli import main, parse_sweep_config
 from maup.tensors import BitMask, save_tensor
 
@@ -23,6 +28,19 @@ def run_args(ph_dir, out_dir, *extra):
         "--out", str(out_dir),
         *extra,
     ]
+
+
+def run_cli_process(args):
+    """Run the CLI as a fresh process, so a traceback would reach stderr."""
+    src = str(Path(maup.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "maup.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 class TestRunCommand:
@@ -82,6 +100,20 @@ class TestRunCommand:
         rc = main(run_args(ph, tmp_path / "out", "--scale", "1"))
         assert rc == 0
         assert "np-disabled-empty-periphery" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "slot, wrong_file",
+        [("--support-feat", "support_mask.maup"), ("--query-gt", "query_features.maup")],
+    )
+    def test_swapped_tensor_type_exits_two_without_traceback(self, tmp_path, slot, wrong_file):
+        ph = make_episode_files(tmp_path)
+        args = run_args(ph, tmp_path / "out", "--query-gt", str(ph / "query_gt.maup"))
+        args[args.index(slot) + 1] = str(ph / wrong_file)
+        proc = run_cli_process(args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "caller requested" in proc.stderr
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -164,6 +196,12 @@ class TestAblateCommand:
         rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert rc == 2
         assert "xyz" in capsys.readouterr().err
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path):
+        cfg = self.write_config(tmp_path, "families = disk\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv"), "--workers", "2"])
+        assert exc.value.code == 1
 
     def test_bad_config_line(self, tmp_path):
         cfg = self.write_config(tmp_path, "families disk\n")

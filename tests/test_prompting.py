@@ -190,7 +190,8 @@ class TestPositivePrompts:
         cfg = PromptConfig(mmp=False, ump=True, np=False, seed=0)
         mean = scalar(np.zeros((6, 6)))
         uncert = scalar(np.zeros((6, 6)))
-        out = positive_prompts(mean, uncert, cfg, 0)
+        out, k, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 0)
+        assert (k, tau_mean, tau_uncert) == (0, None, 0.0)
         assert len(out) == 2
         assert all(p.source == UNCERTAINTY_TAG for p in out)
         assert len({p.point for p in out}) == 2
@@ -200,9 +201,10 @@ class TestPositivePrompts:
         mean = hot_map(12, 12, peak)
         uncert = scalar(np.zeros((12, 12)))
         cfg = PromptConfig(mmp=True, ump=False, np=False, seed=1)
-        out = positive_prompts(mean, uncert, cfg, 1)
+        out, _, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 1)
         tau = percentile_threshold(mean, cfg.percentile)
-        q_mean = set(extract_candidates(mean, tau, "mean").points)
+        assert (tau_mean, tau_uncert) == (tau, None)
+        q_mean = set(extract_candidates(mean, tau, "mean"))
         assert out and all(p.point in q_mean for p in out)
         assert all(p.source == MEAN_TAG for p in out)
 
@@ -210,12 +212,12 @@ class TestPositivePrompts:
         mean = hot_map(20, 20, [(y, x) for y in range(2, 6) for x in range(2, 6)])
         uncert = hot_map(20, 20, [(y, x) for y in range(14, 18) for x in range(14, 18)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=3)
-        out = positive_prompts(mean, uncert, cfg, 3)
+        out, k_used, _, _ = positive_prompts(mean, uncert, cfg, 3)
         k = sum(1 for p in out if p.source == MEAN_TAG)
         u = sum(1 for p in out if p.source == UNCERTAINTY_TAG)
         tau = percentile_threshold(mean, cfg.percentile)
         expected_k = adaptive_k(complexity(mean, tau), cfg.gamma, cfg.n_min, cfg.n_max)
-        assert k == expected_k
+        assert k == k_used == expected_k
         assert u == 2
         assert len(out) == k + 2
         assert len({p.point for p in out}) == len(out)
@@ -237,7 +239,7 @@ class TestPositivePrompts:
         mean = hot_map(6, 6, hot)
         uncert = hot_map(6, 6, hot + [(5, 5)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=0)
-        out = positive_prompts(mean, uncert, cfg, 0)
+        out = positive_prompts(mean, uncert, cfg, 0)[0]
         assert sum(1 for p in out if p.source == UNCERTAINTY_TAG) == 0
         assert {p.point for p in out} == {PointRC(*p) for p in hot}
 
@@ -246,8 +248,8 @@ class TestPositivePrompts:
         mean = hot_map(6, 6, hot)
         uncert = hot_map(6, 6, hot + [(4, 4), (5, 5)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=9)
-        out1 = positive_prompts(mean, uncert, cfg, 9)
-        out2 = positive_prompts(mean, uncert, cfg, 9)
+        out1 = positive_prompts(mean, uncert, cfg, 9)[0]
+        out2 = positive_prompts(mean, uncert, cfg, 9)[0]
         assert out1 == out2
         ump_points = {p.point for p in out1 if p.source == UNCERTAINTY_TAG}
         assert ump_points == {PointRC(4, 4), PointRC(5, 5)}
@@ -262,7 +264,7 @@ class TestPositivePrompts:
         uncert = hot_map(12, 12, hot + [(p.row, p.col) for p in free])
         cfg = PromptConfig(mmp=True, ump=True, np=False, gamma=100.0, seed=0)
         for seed in range(200):
-            out = positive_prompts(mean, uncert, cfg, seed)
+            out = positive_prompts(mean, uncert, cfg, seed)[0]
             assert sum(1 for p in out if p.source == MEAN_TAG) == 10
             ump = {p.point for p in out if p.source == UNCERTAINTY_TAG}
             assert ump == set(free)
@@ -272,7 +274,8 @@ class TestNegativePrompts:
     def test_constant_map_spreads_three(self):
         neg = scalar(np.zeros((8, 8)))
         positives = [PointRC(0, 0), PointRC(1, 1)]
-        out = negative_prompts(neg, positives, 3, 0)
+        out, tau = negative_prompts(neg, positives, 3, 0)
+        assert tau == 0.0
         assert len(out) == 3
         assert not set(out) & set(positives)
 
@@ -282,7 +285,7 @@ class TestNegativePrompts:
         ring = (d2 >= 16) & (d2 <= 36)
         vals = np.where(ring, 0.9, -0.2).astype(np.float32)
         neg = ScalarMap(vals)
-        out = negative_prompts(neg, [PointRC(8, 8)], 3, 1)
+        out, _ = negative_prompts(neg, [PointRC(8, 8)], 3, 1)
         assert len(out) == 3
         for p in out:
             assert ring[p.row, p.col]
@@ -291,8 +294,8 @@ class TestNegativePrompts:
         vals = np.zeros((4, 4), dtype=np.float32)
         vals[0, 0] = vals[0, 1] = 1.0
         neg = ScalarMap(vals)
-        out = negative_prompts(neg, [PointRC(0, 0), PointRC(0, 1)], 3, 0)
-        assert out == []
+        out, tau = negative_prompts(neg, [PointRC(0, 0), PointRC(0, 1)], 3, 0)
+        assert out == [] and tau == 1.0
 
     def test_bad_n_neg(self):
         with pytest.raises(ValueError):
@@ -315,9 +318,10 @@ class TestNegativePrompts:
         rng = np.random.default_rng(6)
         neg = ScalarMap(rng.standard_normal((12, 12)).astype(np.float32) * 0.3)
         positives = [PointRC(0, 0)]
-        out = negative_prompts(neg, positives, 3, 2)
+        out, tau_neg = negative_prompts(neg, positives, 3, 2)
         tau = percentile_threshold(neg, 95.0)
-        q_neg = set(extract_candidates(neg, tau, "negative").points)
+        assert tau_neg == tau
+        q_neg = set(extract_candidates(neg, tau, "negative"))
         assert out and set(out) <= q_neg
 
 
@@ -382,3 +386,34 @@ class TestGeneratePrompts:
         for bad in ({"n_neg": 0}, {"radius": 0}, {"n_regions": 0}, {"scale": 0}):
             with pytest.raises(ConfigError):
                 PromptConfig(**bad)
+
+
+class TestComputedOnce:
+    """One episode with every path on computes each threshold and the complexity once."""
+
+    def count_calls(self, monkeypatch, name):
+        import maup.prompting as mp
+        from maup.phantom import PhantomSpec, generate_phantom
+        from maup.pipeline import execute_episode
+
+        calls = []
+        real = getattr(mp, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, name, counted)
+        ph = generate_phantom(PhantomSpec(family="two-lobe", contrast=0.5, noise=0.1, seed=3))
+        res = execute_episode(
+            ph.support_features, ph.support_mask, ph.query_features, PromptConfig(seed=3, scale=1)
+        )
+        assert res.prompts.tau_mean is not None and res.prompts.tau_uncert is not None
+        assert res.prompts.tau_neg is not None
+        return len(calls)
+
+    def test_one_percentile_per_enabled_path(self, monkeypatch):
+        assert self.count_calls(monkeypatch, "percentile_threshold") == 3
+
+    def test_one_complexity_score(self, monkeypatch):
+        assert self.count_calls(monkeypatch, "complexity") == 1

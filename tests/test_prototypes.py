@@ -23,20 +23,20 @@ class TestMaskedAveragePool:
         f = FeatureMap(np.full((4, 3, 3), 3.0, dtype=np.float32))
         m = BitMask(np.eye(3, dtype=np.uint8))
         p = masked_average_pool(f, m)
-        assert np.allclose(p.values, 3.0)
+        assert np.allclose(p, 3.0)
 
     def test_top_row_mean(self):
         f = FeatureMap(np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32))
         m = BitMask(np.array([[1, 1], [0, 0]], dtype=np.uint8))
         p = masked_average_pool(f, m)
-        assert p.values.tolist() == [1.5]
+        assert p.tolist() == [1.5]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_loop_oracle(self, seed):
         f, m = random_case(seed)
         p = masked_average_pool(f, m)
         expected = pool_oracle(f.data, m.bits)
-        assert np.allclose(p.values, expected, rtol=1e-6, atol=1e-6)
+        assert np.allclose(p, expected, rtol=1e-6, atol=1e-6)
 
     def test_empty_mask(self):
         f, _ = random_case(0)
@@ -52,18 +52,19 @@ class TestMaskedAveragePool:
         f, m = random_case(4)
         g, _ = random_case(5)
         combo = FeatureMap(2.0 * f.data + 0.5 * g.data)
-        lhs = masked_average_pool(combo, m).values
-        rhs = 2.0 * masked_average_pool(f, m).values + 0.5 * masked_average_pool(g, m).values
+        lhs = masked_average_pool(combo, m)
+        rhs = 2.0 * masked_average_pool(f, m) + 0.5 * masked_average_pool(g, m)
         assert np.allclose(lhs, rhs, atol=1e-6)
 
     def test_partition_weighted_mean(self):
         f, m = random_case(6, density=0.5)
         seeds = farthest_point_seeds(m, 4, 0)
-        part = voronoi_partition(m, seeds)
-        whole = masked_average_pool(f, m).values
+        labels = voronoi_partition(m, seeds)
+        whole = masked_average_pool(f, m)
         weighted = np.zeros_like(whole)
-        for region in part.regions:
-            weighted += region.foreground_count * masked_average_pool(f, region).values
+        for k in range(len(seeds)):
+            region = BitMask(labels == k)
+            weighted += region.foreground_count * masked_average_pool(f, region)
         weighted /= m.foreground_count
         assert np.allclose(whole, weighted, atol=1e-6)
 
@@ -71,29 +72,40 @@ class TestMaskedAveragePool:
 class TestRegionalPrototypes:
     def test_single_region_equals_pool_over_foreground(self):
         f, m = random_case(7)
-        part = voronoi_partition(m, farthest_point_seeds(m, 1, 0))
-        ps = regional_prototypes(f, part)
-        assert len(ps) == 1
-        assert np.array_equal(ps.prototypes[0].values, masked_average_pool(f, m).values)
+        labels = voronoi_partition(m, farthest_point_seeds(m, 1, 0))
+        ps = regional_prototypes(f, labels)
+        assert ps.shape == (1, f.channels)
+        assert np.array_equal(ps[0], masked_average_pool(f, m))
 
     def test_constant_map_gives_identical_prototypes(self):
         f = FeatureMap(np.full((2, 8, 8), 1.25, dtype=np.float32))
         m = BitMask(np.ones((8, 8), dtype=np.uint8))
-        part = voronoi_partition(m, farthest_point_seeds(m, 5, 1))
-        ps = regional_prototypes(f, part)
-        for p in ps:
-            assert np.allclose(p.values, 1.25)
+        labels = voronoi_partition(m, farthest_point_seeds(m, 5, 1))
+        ps = regional_prototypes(f, labels)
+        assert ps.shape == (5, 2)
+        assert np.allclose(ps, 1.25)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_each_matches_per_region_pool(self, seed):
         f, m = random_case(seed + 20, density=0.5)
         n = min(6, m.foreground_count)
-        part = voronoi_partition(m, farthest_point_seeds(m, n, seed))
-        ps = regional_prototypes(f, part)
-        assert len(ps) == len(part)
-        for i, region in enumerate(part.regions):
-            assert np.array_equal(ps.prototypes[i].values, masked_average_pool(f, region).values)
-            assert ps.prototypes[i].source == i
+        labels = voronoi_partition(m, farthest_point_seeds(m, n, seed))
+        ps = regional_prototypes(f, labels)
+        assert ps.shape == (n, f.channels) and ps.dtype == np.float64
+        for i in range(n):
+            assert np.array_equal(ps[i], masked_average_pool(f, BitMask(labels == i)))
+
+
+    def test_label_map_must_fit_and_use_every_label(self):
+        f, _ = random_case(8)
+        with pytest.raises(ShapeError):
+            regional_prototypes(f, np.zeros((4, 4), dtype=np.int64))
+        with pytest.raises(EmptyMaskError):
+            regional_prototypes(f, np.full((16, 16), -1))  # nothing labelled
+        gap = np.full((16, 16), -1)
+        gap[0, 0] = 1  # label 0 unused
+        with pytest.raises(EmptyMaskError):
+            regional_prototypes(f, gap)
 
 
 class TestPeripheryPrototype:
@@ -103,8 +115,7 @@ class TestPeripheryPrototype:
         bits[3, 3] = 1
         ring = periphery_mask(BitMask(bits), StructuringElement.disk(1))
         p = periphery_prototype(f, ring)
-        assert np.allclose(p.values, -2.0)
-        assert p.source == "periphery"
+        assert np.allclose(p, -2.0)
 
     def test_ramp_ring_mean(self):
         # one channel whose value equals the column index
@@ -114,37 +125,15 @@ class TestPeripheryPrototype:
         bits[2, 2] = 1
         ring = periphery_mask(BitMask(bits), StructuringElement.disk(1))
         # ring pixels: (1,2) (3,2) (2,1) (2,3) -> columns 2, 2, 1, 3
-        assert periphery_prototype(f, ring).values.tolist() == [2.0]
+        assert periphery_prototype(f, ring).tolist() == [2.0]
 
     def test_equals_masked_average_pool(self):
         f, m = random_case(9)
         ring = periphery_mask(m, StructuringElement.disk(2))
         if ring.foreground_count:
-            assert np.array_equal(
-                periphery_prototype(f, ring).values, masked_average_pool(f, ring).values
-            )
+            assert np.array_equal(periphery_prototype(f, ring), masked_average_pool(f, ring))
 
     def test_empty_periphery(self):
         f = FeatureMap(np.zeros((1, 3, 3), dtype=np.float32))
         with pytest.raises(EmptyPeripheryError):
             periphery_prototype(f, BitMask(np.zeros((3, 3), dtype=np.uint8)))
-
-
-class TestPrototypeValidation:
-    def test_prototype_must_be_a_finite_vector(self):
-        from maup.prototypes import Prototype
-
-        with pytest.raises(ShapeError):
-            Prototype(values=np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            Prototype(values=np.array([1.0, np.nan]))
-
-    def test_set_must_be_uniform_and_non_empty(self):
-        from maup.prototypes import Prototype, PrototypeSet
-
-        with pytest.raises(ValueError):
-            PrototypeSet(prototypes=())
-        with pytest.raises(ShapeError):
-            PrototypeSet(
-                prototypes=(Prototype(values=np.zeros(3)), Prototype(values=np.zeros(4)))
-            )

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maup.errors import EmptyMaskError, SeedError
 from maup.regions import (
-    Partition,
     StructuringElement,
     area_and_perimeter,
     dilate,
@@ -22,6 +24,22 @@ def random_mask(seed, h=16, w=16, density=0.3, non_empty=True):
     if non_empty and bits.sum() == 0:
         bits[rng.integers(h), rng.integers(w)] = 1
     return BitMask(bits)
+
+
+def oracle_labels(fg, seeds):
+    """The label map voronoi_oracle's assignment describes, -1 off the foreground."""
+    want = np.full(fg.bits.shape, -1, dtype=np.int64)
+    for (y, x), i in voronoi_oracle(fg.bits, [(s.row, s.col) for s in seeds]).items():
+        want[y, x] = i
+    return want
+
+
+def assert_label_map_invariants(labels, fg, n):
+    """-1 exactly off the foreground, and every label in [0, n) used at least once."""
+    assert labels.shape == fg.bits.shape
+    assert np.array_equal(labels >= 0, fg.bits == 1)
+    assert (labels >= -1).all()
+    assert np.array_equal(np.unique(labels[labels >= 0]), np.arange(n))
 
 
 def disk_mask(h, w, cy, cx, r):
@@ -112,38 +130,28 @@ class TestVoronoiPartition:
     def test_single_seed_covers_everything(self):
         fg = random_mask(3)
         seeds = farthest_point_seeds(fg, 1, 0)
-        part = voronoi_partition(fg, seeds)
-        assert len(part) == 1
-        assert np.array_equal(part.regions[0].bits, fg.bits)
+        labels = voronoi_partition(fg, seeds)
+        assert np.array_equal(labels, np.where(fg.bits == 1, 0, -1))
 
     def test_row_split_between_two_seeds(self):
         fg = BitMask(np.ones((1, 4), dtype=np.uint8))
-        part = voronoi_partition(fg, [PointRC(0, 0), PointRC(0, 3)])
-        assert np.array_equal(part.regions[0].bits, [[1, 1, 0, 0]])
-        assert np.array_equal(part.regions[1].bits, [[0, 0, 1, 1]])
+        labels = voronoi_partition(fg, [PointRC(0, 0), PointRC(0, 3)])
+        assert labels.tolist() == [[0, 0, 1, 1]]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_pixel_oracle(self, seed):
         fg = random_mask(seed, h=16, w=16)
         n = min(5, fg.foreground_count)
         seeds = farthest_point_seeds(fg, n, seed)
-        part = voronoi_partition(fg, seeds)
-        expected = voronoi_oracle(fg.bits, [(s.row, s.col) for s in seeds])
-        for i, region in enumerate(part.regions):
-            for y, x in np.argwhere(region.bits == 1):
-                assert expected[(int(y), int(x))] == i
+        labels = voronoi_partition(fg, seeds)
+        assert np.array_equal(labels, oracle_labels(fg, seeds))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_partition_invariants(self, seed):
         fg = random_mask(seed * 7 + 1, h=12, w=12, density=0.4)
         n = min(6, fg.foreground_count)
-        part = voronoi_partition(fg, farthest_point_seeds(fg, n, seed))
-        total = np.zeros_like(fg.bits, dtype=np.int64)
-        for region in part.regions:
-            assert region.foreground_count > 0
-            total += region.bits
-        assert total.max() <= 1
-        assert np.array_equal(total.astype(np.uint8), fg.bits)
+        labels = voronoi_partition(fg, farthest_point_seeds(fg, n, seed))
+        assert_label_map_invariants(labels, fg, n)
 
     def test_seed_outside_foreground(self):
         fg = BitMask(np.eye(4, dtype=np.uint8))
@@ -155,18 +163,21 @@ class TestVoronoiPartition:
         with pytest.raises(SeedError):
             voronoi_partition(fg, [PointRC(0, 0), PointRC(0, 0)])
 
-    def test_bad_partition_rejected(self):
-        fg = BitMask(np.ones((1, 2), dtype=np.uint8))
-        half = BitMask(np.array([[1, 0]], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            Partition(regions=(half,), parent=fg)  # does not cover
-        with pytest.raises(ValueError):
-            Partition(regions=(fg, half), parent=fg)  # overlaps
-        with pytest.raises(ValueError):
-            Partition(regions=(), parent=fg)  # no regions
-        empty = BitMask(np.zeros((1, 2), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            Partition(regions=(fg, empty), parent=fg)  # empty region
+    @settings(deadline=None)
+    @given(
+        bits=st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+            lambda hw: arrays(np.uint8, hw, elements=st.integers(0, 1))
+        ),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_label_map_properties(self, bits, n, seed):
+        assume(bits.any())
+        fg = BitMask(bits)
+        seeds = farthest_point_seeds(fg, n, seed)
+        labels = voronoi_partition(fg, seeds)
+        assert np.array_equal(labels, oracle_labels(fg, seeds))
+        assert_label_map_invariants(labels, fg, len(seeds))
 
     def test_no_seeds(self):
         with pytest.raises(SeedError):

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from maup.errors import (
-    DataError,
-    EmptyCandidateError,
-    EmptyMaskError,
-    EmptyStackError,
-    ShapeError,
-)
-from maup.prototypes import Prototype, PrototypeSet
+from maup.errors import EmptyCandidateError, EmptyMaskError, EmptyStackError, ShapeError
 from maup.simmaps import (
-    SimilarityStack,
     cosine_map,
     extract_candidates,
     mean_map,
@@ -31,49 +26,54 @@ def random_features(seed, c=16, h=8, w=8):
 
 def random_stack(seed, n=6, h=8, w=8):
     rng = np.random.default_rng(seed)
-    maps = tuple(
-        ScalarMap(rng.uniform(-1.0, 1.0, (h, w)).astype(np.float32)) for _ in range(n)
-    )
-    return SimilarityStack(maps=maps)
+    return np.stack([rng.uniform(-1.0, 1.0, (h, w)).astype(np.float32) for _ in range(n)])
+
+
+# small values with many exact zeros, so zero-norm pixels and zero prototypes occur
+_entries = st.one_of(st.just(0.0), st.floats(-100.0, 100.0, width=32))
 
 
 class TestCosineMap:
     def test_self_similarity_is_one(self):
         v = np.array([1.0, -2.0, 0.5], dtype=np.float32)
         f = FeatureMap(np.tile(v[:, None, None], (1, 2, 2)))
-        out = cosine_map(f, Prototype(values=v.astype(np.float64)))
+        out = cosine_map(f, v.astype(np.float64))
         assert np.allclose(out.values, 1.0, atol=1e-6)
 
     def test_antipodal_is_minus_one(self):
         v = np.array([1.0, -2.0, 0.5], dtype=np.float32)
         f = FeatureMap(np.tile(-v[:, None, None], (1, 2, 2)))
-        out = cosine_map(f, Prototype(values=v.astype(np.float64)))
+        out = cosine_map(f, v.astype(np.float64))
         assert np.allclose(out.values, -1.0, atol=1e-6)
 
     def test_zero_norm_maps_to_zero(self):
         f = FeatureMap(np.zeros((3, 2, 2), dtype=np.float32))
-        out = cosine_map(f, Prototype(values=np.ones(3)))
+        out = cosine_map(f, np.ones(3))
         assert np.all(out.values == 0.0)
-        out2 = cosine_map(random_features(0, c=3), Prototype(values=np.zeros(3)))
+        out2 = cosine_map(random_features(0, c=3), np.zeros(3))
         assert np.all(out2.values == 0.0)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            cosine_map(random_features(0, c=4), Prototype(values=np.ones(3)))
+            cosine_map(random_features(0, c=4), np.ones(3))
+        with pytest.raises(ShapeError):
+            cosine_map(random_features(0, c=4), np.ones((2, 2)))
+        with pytest.raises(ShapeError):
+            similarity_stack(random_features(0, c=4), np.ones((2, 3)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_scalar_loop_oracle(self, seed):
         f = random_features(seed)
         rng = np.random.default_rng(seed + 1000)
-        p = Prototype(values=rng.standard_normal(16))
+        p = rng.standard_normal(16)
         out = cosine_map(f, p)
-        expected = np.array(cosine_oracle(f.data, p.values))
+        expected = np.array(cosine_oracle(f.data, p))
         assert np.allclose(out.values, expected, atol=1e-6)
         assert out.values.min() >= -1.0 and out.values.max() <= 1.0
 
     def test_scale_invariance(self):
         f = random_features(3)
-        p = Prototype(values=np.random.default_rng(4).standard_normal(16))
+        p = np.random.default_rng(4).standard_normal(16)
         a = cosine_map(f, p).values
         b = cosine_map(FeatureMap(2.5 * f.data), p).values
         assert np.allclose(a, b, atol=1e-6)
@@ -82,59 +82,55 @@ class TestCosineMap:
 class TestStackReductions:
     def test_stack_of_one(self):
         f = random_features(1)
-        p = Prototype(values=np.ones(16))
-        stack = similarity_stack(f, PrototypeSet(prototypes=(p,)))
-        assert len(stack) == 1
-        assert np.array_equal(stack.maps[0].values, cosine_map(f, p).values)
+        p = np.ones(16)
+        stack = similarity_stack(f, p[None])
+        assert stack.shape == (1, 8, 8) and stack.dtype == np.float32
+        assert np.array_equal(stack[0], cosine_map(f, p).values)
 
     def test_duplicate_prototype_duplicates_map(self):
         f = random_features(2)
-        p = Prototype(values=np.arange(1, 17, dtype=np.float64))
-        stack = similarity_stack(f, PrototypeSet(prototypes=(p, p)))
-        assert np.array_equal(stack.maps[0].values, stack.maps[1].values)
+        p = np.arange(1, 17, dtype=np.float64)
+        stack = similarity_stack(f, np.stack([p, p]))
+        assert np.array_equal(stack[0], stack[1])
 
     def test_thirty_prototypes_match_per_map_oracle(self):
         f = random_features(5, h=6, w=6)
         rng = np.random.default_rng(99)
-        protos = tuple(Prototype(values=rng.standard_normal(16)) for _ in range(30))
-        stack = similarity_stack(f, PrototypeSet(prototypes=protos))
-        assert len(stack) == 30
-        for p, m in zip(protos, stack.maps):
-            assert np.allclose(m.values, cosine_oracle(f.data, p.values), atol=1e-6)
+        protos = rng.standard_normal((30, 16))
+        stack = similarity_stack(f, protos)
+        assert stack.shape == (30, 6, 6)
+        for p, m in zip(protos, stack):
+            assert np.allclose(m, cosine_oracle(f.data, p), atol=1e-6)
 
     def test_mean_of_identical_maps(self):
-        m = ScalarMap(np.random.default_rng(0).uniform(-1, 1, (4, 4)).astype(np.float32))
-        stack = SimilarityStack(maps=(m, m, m))
-        assert np.array_equal(mean_map(stack).values, m.values)
+        m = np.random.default_rng(0).uniform(-1, 1, (4, 4)).astype(np.float32)
+        assert np.array_equal(mean_map(np.stack([m, m, m])).values, m)
 
     def test_mean_of_zero_and_one(self):
-        z = ScalarMap(np.zeros((3, 3), dtype=np.float32))
-        o = ScalarMap(np.ones((3, 3), dtype=np.float32))
-        assert np.all(mean_map(SimilarityStack(maps=(z, o))).values == 0.5)
+        stack = np.stack([np.zeros((3, 3), np.float32), np.ones((3, 3), np.float32)])
+        assert np.all(mean_map(stack).values == 0.5)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mean_matches_loop_oracle(self, seed):
         stack = random_stack(seed)
         got = mean_map(stack).values
-        expected = np.array(mean_oracle([m.values for m in stack.maps]))
+        expected = np.array(mean_oracle(list(stack)))
         assert np.allclose(got, expected, atol=1e-7)
 
     def test_empty_stack(self):
         with pytest.raises(EmptyStackError):
-            mean_map(SimilarityStack(maps=()))
+            mean_map(np.zeros((0, 1, 1), np.float32))
         with pytest.raises(EmptyStackError):
-            uncertainty_map(SimilarityStack(maps=()), ScalarMap(np.zeros((1, 1), np.float32)))
+            uncertainty_map(np.zeros((0, 1, 1), np.float32), ScalarMap(np.zeros((1, 1), np.float32)))
 
     def test_variance_of_identical_maps_is_zero(self):
-        m = ScalarMap(np.random.default_rng(1).uniform(-1, 1, (4, 4)).astype(np.float32))
-        stack = SimilarityStack(maps=(m, m, m, m))
+        m = np.random.default_rng(1).uniform(-1, 1, (4, 4)).astype(np.float32)
+        stack = np.stack([m, m, m, m])
         u = uncertainty_map(stack, mean_map(stack))
         assert np.all(u.values == 0.0)
 
     def test_variance_of_zero_one_pair(self):
-        z = ScalarMap(np.zeros((2, 2), dtype=np.float32))
-        o = ScalarMap(np.ones((2, 2), dtype=np.float32))
-        stack = SimilarityStack(maps=(z, o))
+        stack = np.stack([np.zeros((2, 2), np.float32), np.ones((2, 2), np.float32)])
         u = uncertainty_map(stack, mean_map(stack))
         assert np.allclose(u.values, 0.25)
 
@@ -143,16 +139,16 @@ class TestStackReductions:
         stack = random_stack(seed + 50)
         mu = mean_map(stack)
         u = uncertainty_map(stack, mu)
-        arr = np.stack([m.values.astype(np.float64) for m in stack.maps])
+        arr = stack.astype(np.float64)
         identity = (arr * arr).mean(axis=0) - mu.values.astype(np.float64) ** 2
         assert np.allclose(u.values, identity, atol=1e-6)
         assert u.values.min() >= -1e-9
-        expected = np.array(variance_oracle([m.values for m in stack.maps]))
+        expected = np.array(variance_oracle(list(stack)))
         assert np.allclose(u.values, expected, atol=1e-6)
 
     def test_reductions_commute_with_stack_order(self):
         stack = random_stack(7)
-        rev = SimilarityStack(maps=tuple(reversed(stack.maps)))
+        rev = stack[::-1]
         assert np.array_equal(mean_map(stack).values, mean_map(rev).values)
         u1 = uncertainty_map(stack, mean_map(stack)).values
         u2 = uncertainty_map(rev, mean_map(rev)).values
@@ -163,18 +159,33 @@ class TestStackReductions:
         with pytest.raises(ShapeError):
             uncertainty_map(stack, ScalarMap(np.zeros((2, 2), dtype=np.float32)))
 
-    def test_stack_rejects_out_of_range(self):
-        with pytest.raises(DataError):
-            SimilarityStack(maps=(ScalarMap(np.array([[1.5]], dtype=np.float32)),))
+    @settings(deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+        data=st.data(),
+    )
+    def test_stack_rows_match_cosine_oracle(self, shape, data):
+        c, h, w = shape
+        f = FeatureMap(data.draw(arrays(np.float32, (c, h, w), elements=_entries)))
+        n = data.draw(st.integers(1, 4))
+        protos = data.draw(arrays(np.float64, (n, c), elements=_entries))
+        stack = similarity_stack(f, protos)
+        assert stack.shape == (n, h, w) and stack.dtype == np.float32
+        assert stack.min() >= -1.0 and stack.max() <= 1.0
+        for p, m in zip(protos, stack):
+            assert np.allclose(m, cosine_oracle(f.data, p), atol=1e-6)
 
-    def test_stack_rejects_mixed_shapes(self):
-        with pytest.raises(ShapeError):
-            SimilarityStack(
-                maps=(
-                    ScalarMap(np.zeros((2, 2), dtype=np.float32)),
-                    ScalarMap(np.zeros((3, 3), dtype=np.float32)),
-                )
-            )
+    @settings(deadline=None)
+    @given(
+        stack=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda shape: arrays(np.float32, shape, elements=st.floats(-1.0, 1.0, width=32))
+        )
+    )
+    def test_reductions_match_oracles(self, stack):
+        mu = mean_map(stack)
+        assert np.allclose(mu.values, mean_oracle(list(stack)), atol=1e-7)
+        u = uncertainty_map(stack, mu)
+        assert np.allclose(u.values, variance_oracle(list(stack)), atol=1e-6)
 
 
 class TestPercentile:
@@ -232,12 +243,12 @@ class TestExtractCandidates:
         vals = np.zeros((3, 3), dtype=np.float32)
         vals[1, 2] = vals[2, 0] = 5.0
         cands = extract_candidates(ScalarMap(vals), 5.0, "mean")
-        assert set(cands.points) == {PointRC(1, 2), PointRC(2, 0)}
+        assert set(cands) == {PointRC(1, 2), PointRC(2, 0)}
 
     def test_row_major_order(self):
         vals = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.float32)
         cands = extract_candidates(ScalarMap(vals), 1.0, "mean")
-        assert list(cands.points) == [PointRC(0, 0), PointRC(1, 0), PointRC(1, 1)]
+        assert cands == [PointRC(0, 0), PointRC(1, 0), PointRC(1, 1)]
 
     def test_about_five_percent_pass_the_95th(self):
         rng = np.random.default_rng(42)
@@ -260,8 +271,8 @@ class TestExtractCandidates:
             cands = extract_candidates(m, percentile_threshold(m, pct), "mean")
             assert len(cands) >= 1
             if previous is not None:
-                assert set(cands.points) <= previous
-            previous = set(cands.points)
+                assert set(cands) <= previous
+            previous = set(cands)
 
 
 class TestPgmExport:

@@ -113,15 +113,15 @@ class TestHeaderValidation:
     def test_rank3_u8_has_no_type(self, tmp_path):
         path = tmp_path / "u8r3.maup"
         path.write_bytes(header(2, 3, (1, 1, 2)) + bytes([0, 1]))
-        with pytest.raises(TypeError):
+        with pytest.raises(FormatError, match="rank-3 uint8"):
             load_tensor(path)
 
     def test_expect_mismatch(self, tmp_path):
         path = tmp_path / "s.maup"
         save_tensor(ScalarMap(np.zeros((2, 2), dtype=np.float32)), path)
-        with pytest.raises(TypeError):
+        with pytest.raises(FormatError, match="caller requested BitMask"):
             load_tensor(path, expect=BitMask)
-        with pytest.raises(TypeError):
+        with pytest.raises(FormatError, match="caller requested FeatureMap"):
             load_tensor(path, expect=FeatureMap)
 
 
