@@ -1,6 +1,7 @@
 """Point-prompt generation for promptable segmenters from support/query features."""
 
 from .errors import (
+    ClusterError,
     ConfigError,
     DataError,
     EmptyCandidateError,

@@ -37,6 +37,10 @@ class EmptyCandidateError(MaupError):
     """No pixel survives a candidate threshold."""
 
 
+class ClusterError(MaupError):
+    """K-means broke its own invariant (its objective increased)."""
+
+
 class ConfigError(MaupError):
     """Prompt configuration is unusable (e.g. every prompting path disabled)."""
 

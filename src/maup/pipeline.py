@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyMaskError, MaupError, ShapeError
-from .phantom import PhantomSpec, generate_phantom
+from .phantom import Phantom, PhantomSpec, generate_phantom
 from .prompting import (
     PromptConfig,
     PromptSet,
@@ -235,25 +234,44 @@ def surrogate_segment(prompts: PromptExport, gt_like: ScalarMap, threshold: floa
     scale factor.
     """
     h, w = gt_like.height, gt_like.width
+    stride = w + 2  # a closed one-pixel border keeps the neighbours i +- 1, i +- stride in range
 
-    def grid(points):
+    def flat(points):
         out = []
         for p in points:
             g = to_grid_point(p.x, p.y, prompts.scale)
             if not (0 <= g.row < h and 0 <= g.col < w):
                 raise ShapeError(f"prompt {p} is out of bounds for a {h}x{w} map")
-            out.append(g)
+            out.append((g.row + 1) * stride + g.col + 1)
         return out
 
-    pos = grid(prompts.positives)
-    neg = grid(prompts.negatives)
-    above = gt_like.values.astype(np.float64) >= threshold
-    labels, _ = ndimage.label(above)  # default structure = 4-connectivity
-    keep = {int(labels[p.row, p.col]) for p in pos} - {0}
-    keep -= {int(labels[p.row, p.col]) for p in neg}
-    if not keep:
-        return BitMask(np.zeros((h, w), dtype=np.uint8))
-    return BitMask(np.isin(labels, sorted(keep)).astype(np.uint8))
+    pos = flat(prompts.positives)
+    neg = flat(prompts.negatives)
+    padded = np.zeros((h + 2, stride), dtype=np.uint8)
+    padded[1:-1, 1:-1] = gt_like.values.astype(np.float64) >= threshold
+    open_ = bytearray(padded)
+    _flood(open_, stride, neg)  # close every component holding a negative
+    grown = np.zeros_like(padded)
+    grown.flat[_flood(open_, stride, pos)] = 1
+    return BitMask(grown[1:-1, 1:-1])
+
+
+def _flood(open_: bytearray, stride: int, seeds: list[int]) -> list[int]:
+    """Close and return every open pixel 4-connected to an open seed.
+
+    ``open_`` is a flat row-major grid, ``stride`` pixels to a row, whose
+    border is closed. Each pixel is closed once and pushes its 4 neighbours
+    once, so the cost is linear in the pixels reached.
+    """
+    todo = list(seeds)
+    reached = []
+    while todo:
+        i = todo.pop()
+        if open_[i]:
+            open_[i] = 0
+            reached.append(i)
+            todo += (i - stride, i - 1, i + 1, i + stride)
+    return reached
 
 
 def dice(pred: BitMask, gt: BitMask) -> float:
@@ -330,7 +348,10 @@ def run_phantom_episode(
     family_spec: PhantomSpec, cfg: PromptConfig, threshold: float = 0.5
 ) -> tuple[float, PromptExport]:
     """Generate a phantom, prompt it, segment it, and score it."""
-    ph = generate_phantom(family_spec)
+    return _score_phantom(generate_phantom(family_spec), cfg, threshold)
+
+
+def _score_phantom(ph: Phantom, cfg: PromptConfig, threshold: float) -> tuple[float, PromptExport]:
     result = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
     export = build_export(
         result.prompts, result.n_regions, ph.query_features.height, ph.query_features.width
@@ -349,10 +370,10 @@ def ablation_run(
 ) -> AblationReport:
     """Sweep toggle rows (and optionally region counts) over phantom families.
 
-    Every (family, toggle, n_f, seed) cell is one independent episode scored
-    with the surrogate segmenter. Failed cells keep their row with an empty
-    dice and a failure note. Rows come back sorted by family name, toggles,
-    n_f and seed.
+    Every (family, toggle, n_f, seed) cell is one episode scored with the
+    surrogate segmenter; the cells of one (family, seed) share one generated
+    phantom. Failed cells keep their row with an empty dice and a failure
+    note. Rows come back sorted by family name, toggles, n_f and seed.
     """
     if not families or not toggles:
         raise ValueError("need at least one family and one toggle row")
@@ -360,13 +381,20 @@ def ablation_run(
     nfs = list(nf_values) if nf_values else [base.n_regions]
 
     rows = []
-    for fam, (mmp, ump, np_), nf, seed in product(families, toggles, nfs, seeds):
+    for fam, seed in product(families, seeds):
         try:
-            cfg = replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1)
-            d, _ = run_phantom_episode(replace(fam, seed=seed), cfg, threshold)
-            rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, d, "ok"))
+            ph = generate_phantom(replace(fam, seed=seed))
         except MaupError as e:
-            rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, None, f"failed: {e}"))
+            ph = e  # each cell of this (family, seed) fails with it
+        for (mmp, ump, np_), nf in product(toggles, nfs):
+            try:
+                cfg = replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1)
+                if isinstance(ph, MaupError):
+                    raise ph
+                d, _ = _score_phantom(ph, cfg, threshold)
+                rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, d, "ok"))
+            except MaupError as e:
+                rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, None, f"failed: {e}"))
     rows.sort(key=AblationRow.sort_key)
     return AblationReport(rows=tuple(rows))
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCandidateError, ShapeError
+from .errors import ClusterError, ConfigError, EmptyCandidateError, ShapeError
 from .regions import area_and_perimeter
 from .simmaps import extract_candidates, percentile_threshold
 from .tensors import BitMask, PointRC, ScalarMap
@@ -60,8 +60,8 @@ class PromptConfig:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if not 0.0 < self.percentile < 100.0:
             raise ConfigError(f"percentile must be in (0, 100), got {self.percentile}")
-        if min(self.n_neg, self.radius, self.n_regions, self.scale) < 1:
-            raise ConfigError("n_neg, radius, n_regions and scale must be >= 1")
+        if min(self.n_min, self.n_neg, self.radius, self.n_regions, self.scale) < 1:
+            raise ConfigError("n_min, n_neg, radius, n_regions and scale must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,12 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _assign(coords: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center labels (ties to the lowest index) and the N x k squared distances."""
+    d2 = ((coords[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1), d2
+
+
 def lloyd_cluster(
     coords: np.ndarray,
     k: int,
@@ -179,12 +185,7 @@ def lloyd_cluster(
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(coords, k, rng)
-
-    def assign(cs):
-        d2 = ((coords[:, None, :] - cs[None, :, :]) ** 2).sum(axis=2)
-        return d2.argmin(axis=1), d2
-
-    labels, d2 = assign(centers)
+    labels, d2 = _assign(coords, centers)
     wcss_init = float(d2[np.arange(n), labels].sum())
     for _ in range(max_iter):
         new_centers = centers.copy()
@@ -201,12 +202,12 @@ def lloyd_cluster(
                 own_d2[far] = -1.0  # keep a second empty cluster off this point
         moved = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        labels, d2 = assign(centers)
+        labels, d2 = _assign(coords, centers)
         if moved < tol and not empties:
             break
     wcss_final = float(d2[np.arange(n), labels].sum())
     if wcss_final > wcss_init + 1e-9:
-        raise AssertionError("k-means objective increased")  # descent must hold
+        raise ClusterError("k-means objective increased")  # descent must hold
     return centers, labels, wcss_init, wcss_final
 
 

@@ -30,17 +30,22 @@ def run_args(ph_dir, out_dir, *extra):
     ]
 
 
-def run_cli_process(args):
-    """Run the CLI as a fresh process, so a traceback would reach stderr."""
+def run_python_process(*argv):
+    """Run a fresh interpreter that imports this checkout's maup."""
     src = str(Path(maup.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "maup.cli", *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def run_cli_process(args):
+    """Run the CLI as a fresh process, so a traceback would reach stderr."""
+    return run_python_process("-m", "maup.cli", *args)
 
 
 class TestRunCommand:
@@ -114,6 +119,17 @@ class TestRunCommand:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "caller requested" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags", [("--nmin", "0", "--gamma", "0.01"), ("--nmin", "0", "--nmax", "0")]
+    )
+    def test_nmin_below_one_exits_two_without_traceback(self, tmp_path, flags):
+        ph = make_episode_files(tmp_path)
+        proc = run_cli_process(run_args(ph, tmp_path / "out", "--scale", "1", *flags))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "n_min" in proc.stderr
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -217,9 +233,27 @@ class TestAblateCommand:
         rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert rc == 2
 
+    def test_nmin_below_one_exits_two_without_traceback(self, tmp_path):
+        cfg = self.write_config(tmp_path, "families = disk\nnmin = 0\nnmax = 0\n")
+        proc = run_cli_process(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "n_min" in proc.stderr
+
     @pytest.mark.parametrize("line", ["gamma = abc", "seeds = x..y", "nf = 1, two"])
     def test_bad_numeric_values_exit_two(self, tmp_path, line, capsys):
         cfg = self.write_config(tmp_path, line + "\n")
         rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    proc = run_python_process(
+        "-c",
+        "import sys, maup, maup.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

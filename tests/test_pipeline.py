@@ -3,8 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
-from maup.errors import EmptyMaskError, ShapeError
+from maup.errors import EmptyMaskError, ShapeError, SpecError
 from maup.phantom import PhantomSpec, generate_phantom
 from maup.pipeline import (
     EpisodeSpec,
@@ -47,6 +51,31 @@ def export_with(points_pos, points_neg, scale=1):
         seed=0,
         scale=scale,
     )
+
+
+def labelled_reference(above, positives, negatives):
+    """Components of ``above`` holding a positive minus those holding a negative, via scipy."""
+    labels, _ = ndimage.label(above)  # default structure = 4-connectivity
+    keep = {labels[p] for p in positives} - {0} - {labels[q] for q in negatives}
+    return np.isin(labels, sorted(keep)).astype(np.uint8)
+
+
+@st.composite
+def fill_cases(draw):
+    """A frame of 1..12 x 1..12 pixels and prompts anywhere in it, repeats allowed."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    above = draw(arrays(np.bool_, (h, w)))
+    point = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+    return above, draw(st.lists(point, max_size=6)), draw(st.lists(point, max_size=4))
+
+
+def serpentine(n):
+    """One n x n path: every even row, joined by alternating end pixels on odd rows."""
+    above = np.zeros((n, n), dtype=bool)
+    above[::2] = True
+    above[1::4, -1] = True
+    above[3::4, 0] = True
+    return above
 
 
 def disk_intensity(h, w, cy, cx, r, value=1.0):
@@ -281,6 +310,33 @@ class TestSurrogate:
         expected = flood_oracle(vals >= 0.6, pos, neg)
         assert np.array_equal(out.bits, np.array(expected, dtype=np.uint8))
 
+    @settings(deadline=None, max_examples=300)
+    @given(case=fill_cases())
+    @example(case=(np.ones((1, 1), bool), [(0, 0)], []))
+    @example(case=(np.ones((1, 1), bool), [(0, 0)], [(0, 0)]))
+    @example(case=(np.array([[1, 1, 0, 1, 1]], bool), [(0, 0), (0, 4)], [(0, 1)]))
+    @example(case=(np.array([[1], [0], [1], [1]], bool), [(3, 0), (2, 0), (1, 0)], []))
+    @example(case=(np.array([[0, 1], [1, 1]], bool), [(0, 0), (1, 1)], [(0, 0)]))
+    @example(case=(np.array([[1, 1, 0], [0, 1, 0], [1, 0, 1]], bool), [(0, 0), (1, 1), (2, 2)], [(0, 1)]))
+    def test_matches_references_on_any_frame(self, case):
+        # covers 1x1, 1xW and Hx1 frames, prompts on closed pixels, several
+        # prompts per component and a negative inside a positive's component
+        above, pos, neg = case
+        out = surrogate_segment(export_with(pos, neg), ScalarMap(above.astype(np.float32)), 0.5)
+        expected = np.array(flood_oracle(above, pos, neg), dtype=np.uint8)
+        assert np.array_equal(out.bits, expected)
+        assert np.array_equal(out.bits, labelled_reference(above, pos, neg))
+
+    def test_serpentine_128(self):
+        above = serpentine(128)
+        gt_like = ScalarMap(above.astype(np.float32))
+        assert ndimage.label(above)[1] == 1
+        out = surrogate_segment(export_with([(0, 0)], []), gt_like, 0.5)
+        assert np.array_equal(out.bits, above.astype(np.uint8))
+        assert np.array_equal(out.bits, labelled_reference(above, [(0, 0)], []))
+        vetoed = surrogate_segment(export_with([(0, 0)], [(126, 64)]), gt_like, 0.5)
+        assert vetoed.foreground_count == 0
+
     def test_scaled_prompts_map_back_to_grid(self):
         gt_like = disk_intensity(16, 16, 8, 8, 4)
         export = PromptExport(
@@ -355,14 +411,14 @@ class TestAblation:
     def test_failed_rows_are_flagged_not_dropped(self, monkeypatch):
         import maup.pipeline as pl
 
-        real = pl.run_phantom_episode
+        real = pl.execute_episode
 
-        def flaky(spec, cfg, threshold=0.5):
-            if spec.seed == 1:
+        def flaky(support_features, support_mask, query_features, cfg):
+            if cfg.seed == 1:
                 raise EmptyMaskError("synthetic failure")
-            return real(spec, cfg, threshold)
+            return real(support_features, support_mask, query_features, cfg)
 
-        monkeypatch.setattr(pl, "run_phantom_episode", flaky)
+        monkeypatch.setattr(pl, "execute_episode", flaky)
         report = pl.ablation_run(
             [PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, 1, 2]
         )
@@ -371,6 +427,55 @@ class TestAblation:
         assert statuses[0] == "ok" and statuses[2] == "ok"
         assert statuses[1].startswith("failed:")
         assert report.rows[1].dice is None
+
+    def test_phantom_generated_once_per_family_and_seed(self, monkeypatch):
+        import maup.pipeline as pl
+
+        calls = []
+
+        def counted(spec):
+            calls.append((spec.family, spec.seed))
+            return generate_phantom(spec)
+
+        monkeypatch.setattr(pl, "generate_phantom", counted)
+        fams = [PhantomSpec(family="disk"), PhantomSpec(family="annulus")]
+        report = pl.ablation_run(
+            fams, [(True, True, True), (True, True, False)], nf_values=[1, 5], seeds=[0, 1]
+        )
+        assert len(report.rows) == 2 * 2 * 2 * 2
+        assert sorted(calls) == [("annulus", 0), ("annulus", 1), ("disk", 0), ("disk", 1)]
+
+    def test_failed_phantom_fails_each_of_its_cells(self, monkeypatch):
+        import maup.pipeline as pl
+
+        def flaky(spec):
+            if spec.seed == 1:
+                raise SpecError("synthetic phantom failure")
+            return generate_phantom(spec)
+
+        monkeypatch.setattr(pl, "generate_phantom", flaky)
+        report = pl.ablation_run(
+            [PhantomSpec(family="disk")],
+            [(True, True, True), (False, True, False)],
+            nf_values=[1, 5],
+            seeds=[0, 1],
+        )
+        assert len(report.rows) == 2 * 2 * 2
+        failed = [r for r in report.rows if r.seed == 1]
+        assert len(failed) == 4
+        assert all(r.dice is None and r.status == "failed: synthetic phantom failure" for r in failed)
+        assert all(r.status == "ok" for r in report.rows if r.seed == 0)
+
+    def test_cluster_error_fails_cells_not_the_sweep(self, monkeypatch):
+        import maup.prompting as mp
+
+        def broken(coords, k, seed, max_iter=100, tol=1e-4):
+            raise mp.ClusterError("k-means objective increased")
+
+        monkeypatch.setattr(mp, "lloyd_cluster", broken)
+        report = ablation_run([PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, 1])
+        assert len(report.rows) == 2
+        assert all(r.status == "failed: k-means objective increased" for r in report.rows)
 
     def test_summary_groups(self):
         report = ablation_run(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maup.errors import ConfigError, EmptyCandidateError
+from maup.errors import ClusterError, ConfigError, EmptyCandidateError, MaupError
 from maup.prompting import (
     MEAN_TAG,
     UNCERTAINTY_TAG,
@@ -172,6 +172,29 @@ class TestKMeans:
         assert w1 <= w0 + 1e-9
         assert sorted(set(labels.tolist())) == [0, 1]
         assert w1 == pytest.approx(0.5)  # {(0,0),(0,1)} vs {(5,5)}
+
+    def test_objective_increase_is_a_cluster_error(self, monkeypatch):
+        # every assignment after the initial one picks the farthest center,
+        # which breaks the descent invariant the final check guards
+        import maup.prompting as mp
+
+        real_init, real_assign = mp._kmeans_pp_init, mp._assign
+        fresh = []
+
+        def init(coords, k, rng):
+            fresh.append(True)
+            return real_init(coords, k, rng)
+
+        def assign(coords, centers):
+            labels, d2 = real_assign(coords, centers)
+            return (labels, d2) if fresh and fresh.pop() else (d2.argmax(axis=1), d2)
+
+        monkeypatch.setattr(mp, "_kmeans_pp_init", init)
+        monkeypatch.setattr(mp, "_assign", assign)
+        coords = np.array([[0.0, 0.0], [0.0, 1.0], [9.0, 9.0], [9.0, 8.0]])
+        with pytest.raises(ClusterError, match="objective increased") as exc:
+            lloyd_cluster(coords, 2, 0)
+        assert isinstance(exc.value, MaupError)
 
     def test_all_identical_points_stay_stable(self):
         coords = np.array([[3.0, 3.0], [3.0, 3.0]])
@@ -383,7 +406,15 @@ class TestGeneratePrompts:
             PromptConfig(gamma=0.0)
         with pytest.raises(ConfigError):
             PromptConfig(percentile=100.0)
-        for bad in ({"n_neg": 0}, {"radius": 0}, {"n_regions": 0}, {"scale": 0}):
+        for bad in (
+            {"n_min": 0},
+            {"n_min": 0, "n_max": 0},
+            {"n_min": -1},
+            {"n_neg": 0},
+            {"radius": 0},
+            {"n_regions": 0},
+            {"scale": 0},
+        ):
             with pytest.raises(ConfigError):
                 PromptConfig(**bad)
 
