@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyMaskError, MaupError, ShapeError
+from .errors import ConfigError, EmptyMaskError, MaupError, ShapeError
 from .phantom import Phantom, PhantomSpec, generate_phantom
 from .prompting import (
     PromptConfig,
@@ -376,7 +376,7 @@ def ablation_run(
     note. Rows come back sorted by family name, toggles, n_f and seed.
     """
     if not families or not toggles:
-        raise ValueError("need at least one family and one toggle row")
+        raise ConfigError("need at least one family and one toggle row")
     base = base_config if base_config is not None else PromptConfig(scale=1)
     nfs = list(nf_values) if nf_values else [base.n_regions]
 

@@ -176,6 +176,10 @@ def lloyd_cluster(
     at the point currently farthest from its own center, which never
     increases the objective. Stops when every center moves less than ``tol``
     or after ``max_iter`` rounds.
+
+    Centers are ``np.bincount`` coordinate sums over counts. For integer
+    coordinates (every maup caller passes grid pixels) those sums are exact
+    in any order, so each center equals its cluster's ``mean`` bit for bit.
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
@@ -188,14 +192,14 @@ def lloyd_cluster(
     labels, d2 = _assign(coords, centers)
     wcss_init = float(d2[np.arange(n), labels].sum())
     for _ in range(max_iter):
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, col, k) for col in coords.T], axis=1)
+        filled = counts > 0
         new_centers = centers.copy()
-        for j in range(k):
-            sel = labels == j
-            if sel.any():
-                new_centers[j] = coords[sel].mean(axis=0)
-        empties = [j for j in range(k) if not (labels == j).any()]
+        new_centers[filled] = sums[filled] / counts[filled, None]
+        empties = np.flatnonzero(~filled).tolist()
         if empties:
-            own_d2 = d2[np.arange(n), labels].copy()
+            own_d2 = d2[np.arange(n), labels]
             for j in empties:
                 far = int(np.argmax(own_d2))
                 new_centers[j] = coords[far]

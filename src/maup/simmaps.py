@@ -22,6 +22,8 @@ def similarity_stack(f_q: FeatureMap, protos: np.ndarray) -> np.ndarray:
     Returns P x H x W float32 maps in row order, computed in float64 by one
     (P x C) @ (C x HW) product and rounded once to float32. Pixels or
     prototypes with zero norm get similarity 0 instead of NaN.
+    The one query-sized temporary is the query's float64 copy: the pixel
+    norms are an einsum over it, and the divide and clip run in place.
     """
     protos = np.asarray(protos, dtype=np.float64)
     if protos.ndim != 2 or protos.shape[1] != f_q.channels:
@@ -29,12 +31,15 @@ def similarity_stack(f_q: FeatureMap, protos: np.ndarray) -> np.ndarray:
             f"feature map has {f_q.channels} channels, prototypes are {protos.shape}"
         )
     feats = f_q.data.reshape(f_q.channels, -1).astype(np.float64)
-    dots = protos @ feats
-    pix_norm = np.sqrt((feats * feats).sum(axis=0))
+    sims = protos @ feats
+    pix_norm = np.sqrt(np.einsum("ij,ij->j", feats, feats))
     denom = np.linalg.norm(protos, axis=1)[:, None] * pix_norm
+    nonzero = denom > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        sims = np.where(denom > 0.0, dots / denom, 0.0)
-    return np.clip(sims, -1.0, 1.0).astype(np.float32).reshape(-1, f_q.height, f_q.width)
+        np.divide(sims, denom, out=sims, where=nonzero)
+    sims[~nonzero] = 0.0
+    np.clip(sims, -1.0, 1.0, out=sims)
+    return sims.astype(np.float32).reshape(-1, f_q.height, f_q.width)
 
 
 def cosine_map(f_q: FeatureMap, p: np.ndarray) -> ScalarMap:

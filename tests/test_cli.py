@@ -241,6 +241,15 @@ class TestAblateCommand:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "n_min" in proc.stderr
 
+    @pytest.mark.parametrize("line", ["families = ,", "toggles = |"])
+    def test_empty_family_or_toggle_list_exits_two_without_traceback(self, tmp_path, line):
+        cfg = self.write_config(tmp_path, line + "\n")
+        proc = run_cli_process(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "at least one family and one toggle row" in proc.stderr
+
     @pytest.mark.parametrize("line", ["gamma = abc", "seeds = x..y", "nf = 1, two"])
     def test_bad_numeric_values_exit_two(self, tmp_path, line, capsys):
         cfg = self.write_config(tmp_path, line + "\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from maup.errors import EmptyMaskError, ShapeError, SpecError
+from maup.errors import ConfigError, EmptyMaskError, ShapeError, SpecError
 from maup.phantom import PhantomSpec, generate_phantom
 from maup.pipeline import (
     EpisodeSpec,
@@ -489,9 +489,9 @@ class TestAblation:
             assert row[-1] == 2  # two seeds per group
 
     def test_needs_families_and_toggles(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ablation_run([], [(True, True, True)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ablation_run([PhantomSpec(family="disk")], [])
 
     def test_export_bounds_guard(self):

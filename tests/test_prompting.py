@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import maup.prompting as mp
 from maup.errors import ClusterError, ConfigError, EmptyCandidateError, MaupError
 from maup.prompting import (
     MEAN_TAG,
@@ -19,6 +24,38 @@ from maup.simmaps import extract_candidates, percentile_threshold
 from maup.tensors import PointRC, ScalarMap
 
 from oracles import two_means_oracle
+
+
+def lloyd_reference(coords, k, seed, max_iter=100, tol=1e-4):
+    """``lloyd_cluster`` as first written, with a per-cluster ``mean`` loop:
+    the bit-exact reference for integer coordinates. It shares the module's
+    seeding and assignment, so it differs only in the center update."""
+    coords = np.asarray(coords, dtype=np.float64)
+    n = len(coords)
+    rng = np.random.default_rng(seed)
+    centers = mp._kmeans_pp_init(coords, k, rng)
+    labels, d2 = mp._assign(coords, centers)
+    wcss_init = float(d2[np.arange(n), labels].sum())
+    for _ in range(max_iter):
+        new_centers = centers.copy()
+        for j in range(k):
+            sel = labels == j
+            if sel.any():
+                new_centers[j] = coords[sel].mean(axis=0)
+        empties = [j for j in range(k) if not (labels == j).any()]
+        if empties:
+            own_d2 = d2[np.arange(n), labels].copy()
+            for j in empties:
+                far = int(np.argmax(own_d2))
+                new_centers[j] = coords[far]
+                own_d2[far] = -1.0
+        moved = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        labels, d2 = mp._assign(coords, centers)
+        if moved < tol and not empties:
+            break
+    wcss_final = float(d2[np.arange(n), labels].sum())
+    return centers, labels, wcss_init, wcss_final
 
 
 def scalar(arr):
@@ -195,6 +232,28 @@ class TestKMeans:
         with pytest.raises(ClusterError, match="objective increased") as exc:
             lloyd_cluster(coords, 2, 0)
         assert isinstance(exc.value, MaupError)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        grid=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+        n=st.integers(1, 120),
+        k_share=st.floats(0.0, 1.0),
+        stacked_init=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lloyd_is_bit_identical_to_reference(self, grid, n, k_share, stacked_init, seed):
+        # integer grid coordinates, duplicates allowed; a stacked init puts
+        # every center on the first point, so empty clusters get reseeded
+        rng = np.random.default_rng(seed)
+        coords = np.column_stack([rng.integers(0, g, n) for g in grid]).astype(np.float64)
+        k = 1 + int(k_share * (n - 1))
+        init = (lambda c, k, r: np.repeat(c[:1], k, axis=0)) if stacked_init else mp._kmeans_pp_init
+        with mock.patch.object(mp, "_kmeans_pp_init", init):
+            got = lloyd_cluster(coords, k, seed)
+            want = lloyd_reference(coords, k, seed)
+        assert np.array_equal(got[0], want[0]) and got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2] and got[3] == want[3]
 
     def test_all_identical_points_stay_stable(self):
         coords = np.array([[3.0, 3.0], [3.0, 3.0]])

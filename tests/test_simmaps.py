@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,6 +33,19 @@ def random_stack(seed, n=6, h=8, w=8):
 
 # small values with many exact zeros, so zero-norm pixels and zero prototypes occur
 _entries = st.one_of(st.just(0.0), st.floats(-100.0, 100.0, width=32))
+
+
+def stack_reference(f_q, protos):
+    """``similarity_stack`` as first written, with a second query-sized
+    float64 temporary for the pixel norms: the bit-exact reference."""
+    protos = np.asarray(protos, dtype=np.float64)
+    feats = f_q.data.reshape(f_q.channels, -1).astype(np.float64)
+    dots = protos @ feats
+    pix_norm = np.sqrt((feats * feats).sum(axis=0))
+    denom = np.linalg.norm(protos, axis=1)[:, None] * pix_norm
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = np.where(denom > 0.0, dots / denom, 0.0)
+    return np.clip(sims, -1.0, 1.0).astype(np.float32).reshape(-1, f_q.height, f_q.width)
 
 
 class TestCosineMap:
@@ -174,6 +189,49 @@ class TestStackReductions:
         assert stack.min() >= -1.0 and stack.max() <= 1.0
         for p, m in zip(protos, stack):
             assert np.allclose(m, cosine_oracle(f.data, p), atol=1e-6)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        c=st.integers(1, 1100),
+        h=st.integers(1, 12),
+        w=st.integers(1, 12),
+        n=st.integers(1, 8),
+        exponents=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+        zero_share=st.sampled_from([0.0, 0.25, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=1, h=1, w=1, n=1, exponents=(0, 0), zero_share=0.0, seed=0)
+    @example(c=1024, h=12, w=12, n=8, exponents=(-30, 30), zero_share=0.25, seed=1)
+    @example(c=1100, h=7, w=9, n=3, exponents=(30, 30), zero_share=0.25, seed=2)
+    @example(c=384, h=5, w=5, n=4, exponents=(-30, -30), zero_share=1.0, seed=3)
+    def test_stack_is_bit_identical_to_reference(self, c, h, w, n, exponents, zero_share, seed):
+        # per-pixel and per-prototype magnitudes 10**e with e between the two
+        # drawn exponents; zero_share of the pixels and prototypes are zeroed
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(exponents)
+        feats = rng.standard_normal((c, h * w)) * 10.0 ** rng.integers(lo, hi + 1, h * w)
+        feats[:, rng.random(h * w) < zero_share] = 0.0
+        protos = rng.standard_normal((n, c)) * 10.0 ** rng.integers(lo, hi + 1, (n, 1))
+        protos[rng.random(n) < zero_share] = 0.0
+        f = FeatureMap(feats.astype(np.float32).reshape(c, h, w))
+        got, want = similarity_stack(f, protos), stack_reference(f, protos)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+    def test_stack_holds_one_float64_copy_of_the_query(self):
+        # the traced peak of one call stays within 1.5x the query's float64
+        # size: one copy for the product and the norms, no second temporary
+        c, h, w, n = 384, 32, 32, 31
+        rng = np.random.default_rng(0)
+        f = FeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
+        protos = rng.standard_normal((n, c))
+        tracemalloc.start()
+        try:
+            similarity_stack(f, protos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * c * h * w
 
     @settings(deadline=None)
     @given(
