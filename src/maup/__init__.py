@@ -22,12 +22,14 @@ from .pipeline import (
     EpisodeSpec,
     ExportPoint,
     PromptExport,
+    Support,
     ablation_run,
     build_export,
     dice,
     execute_episode,
+    prepare_support,
+    query_maps,
     run_episode,
-    run_phantom_episode,
     save_phantom,
     surrogate_segment,
 )

@@ -11,8 +11,9 @@ from pathlib import Path
 
 from .errors import MaupError
 from .phantom import FAMILIES, PhantomSpec
-from .pipeline import EpisodeSpec, ablation_run, dice, run_episode, save_phantom, surrogate_segment
+from .pipeline import EpisodeSpec, ablation_run, run_episode, save_phantom
 from .prompting import PromptConfig
+from .surrogate import dice, surrogate_segment
 from .tensors import BitMask, ScalarMap, load_tensor
 
 

@@ -1,17 +1,15 @@
-"""Episode orchestration, prompt export, surrogate evaluation, sweeps.
+"""Episode orchestration and sweeps.
 
-An episode takes a support feature map + mask and a query feature map,
-builds the similarity statistics, runs prompt selection, and exports the
-prompts as canonical JSON in image coordinates. A deliberately simple
-surrogate segmenter (threshold + flood fill + negative suppression) turns
-prompt sets into masks so end-to-end behavior can be scored with Dice on
-synthetic phantoms, both one-off and in ablation sweeps.
+An episode prepares the support side once (a partition of the support
+foreground and its prototypes), builds a query's similarity statistics
+against it, runs prompt selection, and exports the prompts (see
+:mod:`maup.surrogate`). Sweeps score toggle rows and region counts on
+synthetic phantoms with the surrogate segmenter.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -25,7 +23,7 @@ from .prompting import (
     PromptConfig,
     PromptSet,
     episode_seed_streams,
-    generate_prompts,
+    select_prompts,
 )
 from .prototypes import periphery_prototype, regional_prototypes
 from .regions import (
@@ -35,16 +33,16 @@ from .regions import (
     voronoi_partition,
 )
 from .simmaps import mean_map, similarity_stack, uncertainty_map, write_pgm
-from .tensors import BitMask, FeatureMap, PointRC, ScalarMap, load_tensor, save_tensor
-
-
-class ExportPoint(NamedTuple):
-    """One exported prompt in image coordinates."""
-
-    x: int
-    y: int
-    label: int  # 1 positive, 0 negative
-    source: str
+from .surrogate import (  # to_grid_point and to_image_xy: re-exported for pipeline's callers
+    ExportPoint,
+    PromptExport,
+    build_export,
+    dice,
+    surrogate_segment,
+    to_grid_point,
+    to_image_xy,
+)
+from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor, save_tensor
 
 
 @dataclass(frozen=True)
@@ -72,80 +70,61 @@ class EpisodeResult:
     n_regions: int
 
 
-@dataclass(frozen=True)
-class PromptExport:
-    """Prompt hand-off record; serializes to canonical JSON."""
+class Support(NamedTuple):
+    """The support side of an episode, prepared once and reusable for any number of queries."""
 
-    positives: tuple[ExportPoint, ...]
-    negatives: tuple[ExportPoint, ...]
-    k_used: int
-    tau_mean: float | None
-    tau_uncert: float | None
-    tau_neg: float | None
-    n_regions: int
-    seed: int
-    scale: int
-    flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "positives": [
-                {"x": p.x, "y": p.y, "label": p.label, "source": p.source}
-                for p in self.positives
-            ],
-            "negatives": [
-                {"x": p.x, "y": p.y, "label": p.label, "source": p.source}
-                for p in self.negatives
-            ],
-            "k_used": self.k_used,
-            "tau_mean": self.tau_mean,
-            "tau_uncert": self.tau_uncert,
-            "tau_neg": self.tau_neg,
-            "n_regions": self.n_regions,
-            "seed": self.seed,
-            "scale": self.scale,
-            "flags": list(self.flags),
-        }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+    labels: np.ndarray  # H x W label map, -1 off the foreground
+    protos: np.ndarray  # P x C float64 regional prototypes, row k pools label k
+    periphery: np.ndarray | None  # length-C periphery prototype; None with np off or an empty band
 
 
-def to_image_xy(p: PointRC, scale: int) -> tuple[int, int]:
-    """Grid pixel -> image pixel, center-of-patch convention."""
-    return p.col * scale + scale // 2, p.row * scale + scale // 2
+def prepare_support(
+    support_features: FeatureMap, support_mask: BitMask, cfg: PromptConfig
+) -> Support:
+    """Partition the support foreground and pool its prototypes.
+
+    Uses ``cfg.n_regions`` and ``cfg.seed``; with ``cfg.np`` set it also
+    pools the periphery band of radius ``cfg.radius``.
+    """
+    fps_seed, _, _ = episode_seed_streams(cfg.seed)
+    return _prepare(support_features, support_mask, cfg, fps_seed)
 
 
-def to_grid_point(x: int, y: int, scale: int) -> PointRC:
-    """Inverse of :func:`to_image_xy` for coordinates it produced."""
-    return PointRC((y - scale // 2) // scale, (x - scale // 2) // scale)
+def _prepare(features: FeatureMap, mask: BitMask, cfg: PromptConfig, fps_seed) -> Support:
+    if (features.height, features.width) != (mask.height, mask.width):
+        raise ShapeError("support features and support mask disagree on H x W")
+    fg = mask.foreground_count
+    if fg == 0:
+        raise EmptyMaskError("RPG: empty foreground")
+    seeds = farthest_point_seeds(mask, min(cfg.n_regions, fg), fps_seed)
+    labels = voronoi_partition(mask, seeds)
+    protos = regional_prototypes(features, labels)
+    return Support(labels, protos, _periphery_row(features, mask, cfg.radius) if cfg.np else None)
 
 
-def build_export(ps: PromptSet, n_regions: int, height: int, width: int) -> PromptExport:
-    """Scale a prompt set out to image coordinates."""
-    positives = []
-    for pp in ps.positives:
-        x, y = to_image_xy(pp.point, ps.scale)
-        positives.append(ExportPoint(x=x, y=y, label=1, source=pp.source))
-    negatives = []
-    for p in ps.negatives:
-        x, y = to_image_xy(p, ps.scale)
-        negatives.append(ExportPoint(x=x, y=y, label=0, source="negative"))
-    for pt in positives + negatives:
-        if not (0 <= pt.x < width * ps.scale and 0 <= pt.y < height * ps.scale):
-            raise ShapeError(f"exported prompt {pt} escapes the scaled frame")
-    return PromptExport(
-        positives=tuple(positives),
-        negatives=tuple(negatives),
-        k_used=ps.k_used,
-        tau_mean=ps.tau_mean,
-        tau_uncert=ps.tau_uncert,
-        tau_neg=ps.tau_neg,
-        n_regions=n_regions,
-        seed=ps.seed,
-        scale=ps.scale,
-        flags=ps.flags,
-    )
+def _periphery_row(features: FeatureMap, mask: BitMask, radius: int) -> np.ndarray | None:
+    band = periphery_mask(mask, StructuringElement.disk(radius))
+    return periphery_prototype(features, band) if band.foreground_count > 0 else None
+
+
+def query_maps(
+    support: Support, query_features: FeatureMap, cfg: PromptConfig
+) -> tuple[ScalarMap, ScalarMap, ScalarMap | None]:
+    """(mean, uncertainty, periphery) maps of one query against a prepared support.
+
+    One similarity product covers every regional row and, when ``cfg.np`` is
+    set and the support has one, the periphery row as its last row; the
+    periphery map is None otherwise.
+    """
+    if query_features.channels != support.protos.shape[1]:
+        raise ShapeError("support and query features disagree on channel count")
+    with_neg = cfg.np and support.periphery is not None
+    protos = np.vstack([support.protos, support.periphery]) if with_neg else support.protos
+    stack = similarity_stack(query_features, protos)
+    regional = stack[: len(support.protos)]
+    mean = mean_map(regional)
+    uncert = uncertainty_map(regional, mean)
+    return mean, uncert, ScalarMap(stack[-1]) if with_neg else None
 
 
 def execute_episode(
@@ -154,42 +133,22 @@ def execute_episode(
     query_features: FeatureMap,
     cfg: PromptConfig,
 ) -> EpisodeResult:
-    """Run the full prompting chain on in-memory tensors."""
-    if (support_features.height, support_features.width) != (
-        support_mask.height,
-        support_mask.width,
-    ):
-        raise ShapeError("support features and support mask disagree on H x W")
-    if query_features.channels != support_features.channels:
-        raise ShapeError("support and query features disagree on channel count")
-    fg = support_mask.foreground_count
-    if fg == 0:
-        raise EmptyMaskError("RPG: empty foreground")
+    """Run the full prompting chain on in-memory tensors.
 
-    fps_seed, _, _ = episode_seed_streams(cfg.seed)
-    n_regions = min(cfg.n_regions, fg)
-    seeds = farthest_point_seeds(support_mask, n_regions, fps_seed)
-    partition = voronoi_partition(support_mask, seeds)
-    protos = regional_prototypes(support_features, partition)
-    if cfg.np:
-        band = periphery_mask(support_mask, StructuringElement.disk(cfg.radius))
-        if band.foreground_count > 0:
-            protos = np.vstack([protos, periphery_prototype(support_features, band)])
-    # one product for all maps; the periphery prototype, when present, is the last row
-    stack = similarity_stack(query_features, protos)
-    regional = stack[: len(seeds)]
-    mean = mean_map(regional)
-    uncert = uncertainty_map(regional, mean)
-    neg_map = ScalarMap(stack[len(seeds)]) if len(stack) > len(seeds) else None
-
-    prompts = generate_prompts(mean, uncert, neg_map, cfg)
+    The steps are :func:`prepare_support`, :func:`query_maps` and
+    :func:`generate_prompts`, with the seed streams derived once.
+    """
+    fps_seed, pos_seed, neg_seed = episode_seed_streams(cfg.seed)
+    support = _prepare(support_features, support_mask, cfg, fps_seed)
+    mean, uncert, neg_map = query_maps(support, query_features, cfg)
+    prompts = select_prompts(mean, uncert, neg_map, cfg, pos_seed, neg_seed)
     return EpisodeResult(
         prompts=prompts,
-        partition=partition,
+        partition=support.labels,
         mean=mean,
         uncertainty=uncert,
         negative=neg_map,
-        n_regions=len(seeds),
+        n_regions=len(support.protos),
     )
 
 
@@ -223,67 +182,6 @@ def run_episode(spec: EpisodeSpec) -> PromptExport:
         if result.negative is not None:
             write_pgm(result.negative, out_dir / "negative.pgm")
     return export
-
-
-def surrogate_segment(prompts: PromptExport, gt_like: ScalarMap, threshold: float) -> BitMask:
-    """Score-free stand-in for a promptable segmenter.
-
-    Grows 4-connected regions of ``gt_like >= threshold`` from the positive
-    points, then discards any grown region that also contains a negative
-    point. Exported coordinates are mapped back to the grid via the recorded
-    scale factor.
-    """
-    h, w = gt_like.height, gt_like.width
-    stride = w + 2  # a closed one-pixel border keeps the neighbours i +- 1, i +- stride in range
-
-    def flat(points):
-        out = []
-        for p in points:
-            g = to_grid_point(p.x, p.y, prompts.scale)
-            if not (0 <= g.row < h and 0 <= g.col < w):
-                raise ShapeError(f"prompt {p} is out of bounds for a {h}x{w} map")
-            out.append((g.row + 1) * stride + g.col + 1)
-        return out
-
-    pos = flat(prompts.positives)
-    neg = flat(prompts.negatives)
-    padded = np.zeros((h + 2, stride), dtype=np.uint8)
-    padded[1:-1, 1:-1] = gt_like.values.astype(np.float64) >= threshold
-    open_ = bytearray(padded)
-    _flood(open_, stride, neg)  # close every component holding a negative
-    grown = np.zeros_like(padded)
-    grown.flat[_flood(open_, stride, pos)] = 1
-    return BitMask(grown[1:-1, 1:-1])
-
-
-def _flood(open_: bytearray, stride: int, seeds: list[int]) -> list[int]:
-    """Close and return every open pixel 4-connected to an open seed.
-
-    ``open_`` is a flat row-major grid, ``stride`` pixels to a row, whose
-    border is closed. Each pixel is closed once and pushes its 4 neighbours
-    once, so the cost is linear in the pixels reached.
-    """
-    todo = list(seeds)
-    reached = []
-    while todo:
-        i = todo.pop()
-        if open_[i]:
-            open_[i] = 0
-            reached.append(i)
-            todo += (i - stride, i - 1, i + 1, i + stride)
-    return reached
-
-
-def dice(pred: BitMask, gt: BitMask) -> float:
-    """Dice overlap coefficient; 1.0 when both masks are empty."""
-    if pred.bits.shape != gt.bits.shape:
-        raise ShapeError("dice operands differ in shape")
-    a = pred.foreground_count
-    b = gt.foreground_count
-    if a == 0 and b == 0:
-        return 1.0
-    inter = int((pred.bits & gt.bits).sum())
-    return 2.0 * inter / (a + b)
 
 
 @dataclass(frozen=True)
@@ -344,22 +242,6 @@ class AblationReport:
         return "\n".join(lines)
 
 
-def run_phantom_episode(
-    family_spec: PhantomSpec, cfg: PromptConfig, threshold: float = 0.5
-) -> tuple[float, PromptExport]:
-    """Generate a phantom, prompt it, segment it, and score it."""
-    return _score_phantom(generate_phantom(family_spec), cfg, threshold)
-
-
-def _score_phantom(ph: Phantom, cfg: PromptConfig, threshold: float) -> tuple[float, PromptExport]:
-    result = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
-    export = build_export(
-        result.prompts, result.n_regions, ph.query_features.height, ph.query_features.width
-    )
-    pred = surrogate_segment(export, ph.query_intensity, threshold)
-    return dice(pred, ph.query_gt), export
-
-
 def ablation_run(
     families: list[PhantomSpec],
     toggles: list[tuple[bool, bool, bool]],
@@ -371,9 +253,11 @@ def ablation_run(
     """Sweep toggle rows (and optionally region counts) over phantom families.
 
     Every (family, toggle, n_f, seed) cell is one episode scored with the
-    surrogate segmenter; the cells of one (family, seed) share one generated
-    phantom. Failed cells keep their row with an empty dice and a failure
-    note. Rows come back sorted by family name, toggles, n_f and seed.
+    surrogate segmenter. The cells of one (family, seed) share one generated
+    phantom; those of one (family, n_f, seed) share one prepared support, and
+    toggle rows with the same negative-path setting share one query product.
+    Failed cells keep their row with an empty dice and a failure note. Rows
+    come back sorted by family name, toggles, n_f and seed.
     """
     if not families or not toggles:
         raise ConfigError("need at least one family and one toggle row")
@@ -386,17 +270,75 @@ def ablation_run(
             ph = generate_phantom(replace(fam, seed=seed))
         except MaupError as e:
             ph = e  # each cell of this (family, seed) fails with it
-        for (mmp, ump, np_), nf in product(toggles, nfs):
-            try:
-                cfg = replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1)
-                if isinstance(ph, MaupError):
-                    raise ph
-                d, _ = _score_phantom(ph, cfg, threshold)
-                rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, d, "ok"))
-            except MaupError as e:
-                rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, None, f"failed: {e}"))
+        streams = episode_seed_streams(seed)
+        for nf in nfs:
+            cells = []  # (row key, config) of this (family, n_f, seed)
+            for mmp, ump, np_ in toggles:
+                key = (fam.family, mmp, ump, np_, nf, seed)
+                try:
+                    cells.append(
+                        (key, replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1))
+                    )
+                except MaupError as e:  # a config error wins over a phantom error
+                    rows.append(AblationRow(*key, None, f"failed: {e}"))
+            if isinstance(ph, MaupError):
+                rows += _failed(cells, ph)
+            elif cells:
+                rows += _score_group(ph, cells, streams, threshold)
     rows.sort(key=AblationRow.sort_key)
     return AblationReport(rows=tuple(rows))
+
+
+def _failed(cells, e: MaupError) -> list[AblationRow]:
+    """One failed row per (row key, config) cell."""
+    return [AblationRow(*key, None, f"failed: {e}") for key, _ in cells]
+
+
+def _score_group(ph: Phantom, cells, streams, threshold: float) -> list[AblationRow]:
+    """Score the cells of one (family, n_f, seed) from one support.
+
+    The negative-path-off cells are finished before the periphery row and
+    the negative-path-on product are computed, so one stack is alive at a time.
+    """
+    fps_seed, pos_seed, neg_seed = streams
+    cfg = cells[0][1]
+    try:
+        support = _prepare(ph.support_features, ph.support_mask, replace(cfg, np=False), fps_seed)
+    except MaupError as e:
+        return _failed(cells, e)
+    rows = []
+    off = [c for c in cells if not c[1].np]
+    on = [c for c in cells if c[1].np]
+    if off:
+        rows += _score_cells(ph, support, off, pos_seed, neg_seed, threshold)
+    if on:
+        try:
+            periphery = _periphery_row(ph.support_features, ph.support_mask, cfg.radius)
+        except MaupError as e:
+            return rows + _failed(on, e)
+        rows += _score_cells(ph, support._replace(periphery=periphery), on, pos_seed, neg_seed, threshold)
+    return rows
+
+
+def _score_cells(
+    ph: Phantom, support: Support, cells, pos_seed, neg_seed, threshold: float
+) -> list[AblationRow]:
+    """Prompt, segment and score cells that share one query product."""
+    try:
+        maps = query_maps(support, ph.query_features, cells[0][1])
+    except MaupError as e:
+        return _failed(cells, e)
+    height, width = ph.query_features.height, ph.query_features.width
+    rows = []
+    for key, cfg in cells:
+        try:
+            prompts = select_prompts(*maps, cfg, pos_seed, neg_seed)
+            export = build_export(prompts, len(support.protos), height, width)
+            d = dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
+            rows.append(AblationRow(*key, d, "ok"))
+        except MaupError as e:
+            rows.append(AblationRow(*key, None, f"failed: {e}"))
+    return rows
 
 
 def save_phantom(spec: PhantomSpec, out_dir) -> dict[str, Path]:

@@ -333,6 +333,21 @@ def generate_prompts(
     stream split the episode pipeline uses.
     """
     _, pos_seed, neg_seed = episode_seed_streams(cfg.seed)
+    return select_prompts(mean, uncert, neg_map, cfg, pos_seed, neg_seed)
+
+
+def select_prompts(
+    mean: ScalarMap,
+    uncert: ScalarMap,
+    neg_map: ScalarMap | None,
+    cfg: PromptConfig,
+    pos_seed,
+    neg_seed,
+) -> PromptSet:
+    """:func:`generate_prompts` with the positive and negative seed streams given.
+
+    The maps are only read, so callers may share them between configs.
+    """
     positives, k_used, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, pos_seed)
 
     negatives: list[PointRC] = []

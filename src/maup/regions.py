@@ -96,15 +96,27 @@ def voronoi_partition(fg: BitMask, seeds: list[PointRC]) -> np.ndarray:
 def dilate(m: BitMask, se: StructuringElement) -> BitMask:
     """Morphological dilation: out(y,x) = 1 iff some offset hits a set pixel.
 
-    Reads outside the frame count as 0, so the output never wraps.
+    Reads outside the frame count as 0, so the output never wraps. Offsets
+    are grouped by ``dy``: each distinct set of horizontal shifts is ORed
+    once, then shifted vertically once per ``dy`` that uses it.
     """
     h, w = m.height, m.width
-    out = np.zeros_like(m.bits)
+    rows: dict[int, set[int]] = {}
     for dy, dx in se.offsets:
+        rows.setdefault(dy, set()).add(dx)
+    bands: dict[frozenset[int], np.ndarray] = {}
+    out = np.zeros_like(m.bits)
+    for dy, dxs in rows.items():
+        key = frozenset(dxs)
+        if key not in bands:
+            band = bands[key] = np.zeros_like(m.bits)
+            for dx in key:
+                x0, x1 = max(0, dx), w + min(0, dx)
+                if x0 < x1:
+                    band[:, x0:x1] |= m.bits[:, x0 - dx : x1 - dx]
         y0, y1 = max(0, dy), h + min(0, dy)
-        x0, x1 = max(0, dx), w + min(0, dx)
-        if y0 < y1 and x0 < x1:
-            out[y0:y1, x0:x1] |= m.bits[y0 - dy : y1 - dy, x0 - dx : x1 - dx]
+        if y0 < y1:
+            out[y0:y1] |= bands[key][y0 - dy : y1 - dy]
     return BitMask(out)
 
 

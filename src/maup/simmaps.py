@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCandidateError, EmptyMaskError, EmptyStackError, ShapeError
-from .tensors import BitMask, FeatureMap, PointRC, ScalarMap
+from .errors import EmptyCandidateError, EmptyStackError, ShapeError
+from .tensors import FeatureMap, PointRC, ScalarMap
 
 
 def similarity_stack(f_q: FeatureMap, protos: np.ndarray) -> np.ndarray:
@@ -64,21 +64,11 @@ def uncertainty_map(stack: np.ndarray, mean: ScalarMap) -> ScalarMap:
     return ScalarMap((diff * diff).mean(axis=0))
 
 
-def percentile_threshold(map_: ScalarMap, pct: float, roi: BitMask | None = None) -> float:
-    """Linear-interpolated percentile of the map's values.
-
-    With ``roi`` given, only pixels inside the roi contribute.
-    """
+def percentile_threshold(map_: ScalarMap, pct: float) -> float:
+    """Linear-interpolated percentile of the map's values."""
     if not 0.0 < pct < 100.0:
         raise ValueError(f"percentile must be in (0, 100), got {pct}")
-    vals = map_.values.astype(np.float64)
-    if roi is not None:
-        if roi.bits.shape != map_.values.shape:
-            raise ShapeError("roi shape does not match the map")
-        if roi.foreground_count == 0:
-            raise EmptyMaskError("percentile over an empty roi")
-        vals = vals[roi.bits.astype(bool)]
-    return float(np.percentile(vals, pct))
+    return float(np.percentile(map_.values.astype(np.float64), pct))
 
 
 def extract_candidates(map_: ScalarMap, tau: float, tag: str) -> list[PointRC]:

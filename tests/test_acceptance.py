@@ -11,10 +11,11 @@ from maup.pipeline import (
     EpisodeSpec,
     ablation_run,
     build_export,
+    dice,
     execute_episode,
     run_episode,
-    run_phantom_episode,
     save_phantom,
+    surrogate_segment,
     to_grid_point,
 )
 from maup.prompting import (
@@ -256,10 +257,18 @@ def test_determinism():
     )
 
 
+def phantom_dice(spec: PhantomSpec, cfg: PromptConfig, threshold: float = 0.5) -> float:
+    """Generate a phantom, prompt it, segment it with the surrogate, and score it."""
+    ph = generate_phantom(spec)
+    res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
+    export = build_export(res.prompts, res.n_regions, ph.query_features.height, ph.query_features.width)
+    return dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
+
+
 def test_surrogate_end_to_end():
     disk_scores = []
     for seed in range(20):
-        d, _ = run_phantom_episode(
+        d = phantom_dice(
             PhantomSpec(family="disk", contrast=1.0, noise=0.0, seed=seed),
             PromptConfig(seed=seed, scale=1),
         )
@@ -269,7 +278,7 @@ def test_surrogate_end_to_end():
     def two_lobe_mean(mmp, ump, np_):
         scores = []
         for seed in range(20):
-            d, _ = run_phantom_episode(
+            d = phantom_dice(
                 PhantomSpec(family="two-lobe", contrast=0.4, noise=0.1, seed=seed),
                 PromptConfig(mmp=mmp, ump=ump, np=np_, seed=seed, scale=1),
             )

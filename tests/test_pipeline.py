@@ -1,4 +1,6 @@
+import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,24 +10,31 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from maup.errors import ConfigError, EmptyMaskError, ShapeError, SpecError
-from maup.phantom import PhantomSpec, generate_phantom
+import maup.pipeline as pl
+import maup.prompting as mp
+from maup.errors import ConfigError, EmptyMaskError, MaupError, ShapeError, SpecError
+from maup.phantom import FAMILIES, PhantomSpec, generate_phantom
 from maup.pipeline import (
+    AblationReport,
+    AblationRow,
+    EpisodeResult,
     EpisodeSpec,
     ExportPoint,
     PromptExport,
+    Support,
     ablation_run,
     build_export,
     dice,
     execute_episode,
+    prepare_support,
+    query_maps,
     run_episode,
-    run_phantom_episode,
     save_phantom,
     surrogate_segment,
     to_grid_point,
     to_image_xy,
 )
-from maup.prompting import MEAN_TAG, PromptConfig
+from maup.prompting import MEAN_TAG, PromptConfig, generate_prompts
 from maup.simmaps import extract_candidates
 from maup.tensors import BitMask, FeatureMap, PointRC, ScalarMap
 
@@ -37,6 +46,74 @@ PAPER_SCALE_GOLDEN = {
     True: GOLDEN.parent / "prompts_two_lobe_37x37x1024_nf60.json",
     False: GOLDEN.parent / "prompts_two_lobe_37x37x1024_nf60_no_np.json",
 }
+
+
+def reference_episode(support_features, support_mask, query_features, cfg):
+    """``execute_episode`` as it was before the support/query split, every stage inline.
+
+    Stages are looked up on ``maup.pipeline`` so a test that substitutes one
+    substitutes it here too.
+    """
+    if (support_features.height, support_features.width) != (
+        support_mask.height,
+        support_mask.width,
+    ):
+        raise ShapeError("support features and support mask disagree on H x W")
+    if query_features.channels != support_features.channels:
+        raise ShapeError("support and query features disagree on channel count")
+    fg = support_mask.foreground_count
+    if fg == 0:
+        raise EmptyMaskError("RPG: empty foreground")
+    fps_seed, _, _ = mp.episode_seed_streams(cfg.seed)
+    seeds = pl.farthest_point_seeds(support_mask, min(cfg.n_regions, fg), fps_seed)
+    partition = pl.voronoi_partition(support_mask, seeds)
+    protos = pl.regional_prototypes(support_features, partition)
+    if cfg.np:
+        band = pl.periphery_mask(support_mask, pl.StructuringElement.disk(cfg.radius))
+        if band.foreground_count > 0:
+            protos = np.vstack([protos, pl.periphery_prototype(support_features, band)])
+    stack = pl.similarity_stack(query_features, protos)
+    regional = stack[: len(seeds)]
+    mean = pl.mean_map(regional)
+    uncert = pl.uncertainty_map(regional, mean)
+    neg_map = ScalarMap(stack[len(seeds)]) if len(stack) > len(seeds) else None
+    prompts = generate_prompts(mean, uncert, neg_map, cfg)
+    return EpisodeResult(prompts, partition, mean, uncert, neg_map, len(seeds))
+
+
+def reference_ablation(families, toggles, nf_values, seeds, threshold=0.5):
+    """``ablation_run`` as a per-cell loop: one reference episode per cell, nothing shared."""
+    base = PromptConfig(scale=1)
+    rows = []
+    for fam, seed in itertools.product(families, seeds):
+        try:
+            ph = generate_phantom(replace(fam, seed=seed))
+        except MaupError as e:
+            ph = e
+        for (mmp, ump, np_), nf in itertools.product(toggles, nf_values):
+            try:
+                cfg = replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1)
+                if isinstance(ph, MaupError):
+                    raise ph
+                res = reference_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
+                export = build_export(res.prompts, res.n_regions, ph.query_features.height, ph.query_features.width)
+                d = dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
+                rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, d, "ok"))
+            except MaupError as e:
+                rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, None, f"failed: {e}"))
+    rows.sort(key=AblationRow.sort_key)
+    return AblationReport(rows=tuple(rows))
+
+
+def episode_bytes(res, height, width):
+    """Everything an episode hands on: the export text, the label map and every map's bytes."""
+    maps = [res.mean, res.uncertainty] + ([res.negative] if res.negative is not None else [])
+    text = build_export(res.prompts, res.n_regions, height, width).canonical_json()
+    return text, res.partition.tobytes(), [m.values.tobytes() for m in maps]
+
+
+VALID_TOGGLES = [t for t in itertools.product([False, True], repeat=3) if t[0] or t[1]]
+SWEEP_TOGGLES = [(False, True, False), (True, True, False), (True, True, True)]  # ump | mmp+ump | all
 
 
 def export_with(points_pos, points_neg, scale=1):
@@ -176,6 +253,99 @@ class TestExecuteEpisode:
         res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
         text = build_export(res.prompts, res.n_regions, 37, 37).canonical_json()
         assert text == PAPER_SCALE_GOLDEN[np_on].read_text()
+
+
+class TestSupportQuerySplit:
+    def split_export(self, ph, cfg):
+        support = prepare_support(ph.support_features, ph.support_mask, cfg)
+        prompts = generate_prompts(*query_maps(support, ph.query_features, cfg), cfg)
+        height, width = ph.query_features.height, ph.query_features.width
+        return build_export(prompts, len(support.protos), height, width).canonical_json()
+
+    def test_disk_golden_bytes(self):
+        ph = generate_phantom(PhantomSpec(family="disk", contrast=1.0, noise=0.0, seed=7))
+        assert self.split_export(ph, PromptConfig(seed=7)) == GOLDEN.read_text()
+
+    @pytest.mark.parametrize("np_on", [True, False])
+    def test_paper_scale_golden_bytes(self, np_on):
+        spec = PhantomSpec(
+            family="two-lobe", size=37, channels=1024, contrast=0.5, noise=0.1, seed=11
+        )
+        cfg = PromptConfig(n_regions=60, seed=11, np=np_on)
+        assert self.split_export(generate_phantom(spec), cfg) == PAPER_SCALE_GOLDEN[np_on].read_text()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        size=st.sampled_from([16, 23, 32]),
+        channels=st.sampled_from([3, 16, 40]),
+        nf=st.sampled_from([1, 2, 5, 30, 60, 500]),
+        toggles=st.sampled_from(VALID_TOGGLES),
+        radius=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_split_and_episode_match_the_reference(self, family, size, channels, nf, toggles, radius, seed):
+        mmp, ump, np_ = toggles
+        ph = generate_phantom(
+            PhantomSpec(family=family, size=size, channels=channels, contrast=0.4, noise=0.1, seed=seed)
+        )
+        cfg = PromptConfig(mmp=mmp, ump=ump, np=np_, n_regions=nf, radius=radius, seed=seed, scale=3)
+        args = (ph.support_features, ph.support_mask, ph.query_features, cfg)
+        want = episode_bytes(reference_episode(*args), size, size)
+        assert episode_bytes(execute_episode(*args), size, size) == want
+        support = prepare_support(ph.support_features, ph.support_mask, cfg)
+        mean, uncert, neg = query_maps(support, ph.query_features, cfg)
+        prompts = generate_prompts(mean, uncert, neg, cfg)
+        split = EpisodeResult(prompts, support.labels, mean, uncert, neg, len(support.protos))
+        assert episode_bytes(split, size, size) == want
+
+    def test_one_support_many_queries(self):
+        cfg = PromptConfig(n_regions=15, seed=3, scale=1)
+        ph = generate_phantom(PhantomSpec(family="two-lobe", contrast=0.4, noise=0.1, seed=3))
+        support = prepare_support(ph.support_features, ph.support_mask, cfg)
+        for family in FAMILIES:
+            q = generate_phantom(PhantomSpec(family=family, contrast=0.5, noise=0.1, seed=8)).query_features
+            prompts = generate_prompts(*query_maps(support, q, cfg), cfg)
+            got = build_export(prompts, len(support.protos), 32, 32).canonical_json()
+            res = execute_episode(ph.support_features, ph.support_mask, q, cfg)
+            assert got == build_export(res.prompts, res.n_regions, 32, 32).canonical_json()
+
+    def test_support_fields(self):
+        ph = generate_phantom(PhantomSpec(family="disk", seed=2))
+        on = prepare_support(ph.support_features, ph.support_mask, PromptConfig(n_regions=7, seed=2))
+        off = prepare_support(ph.support_features, ph.support_mask, PromptConfig(n_regions=7, seed=2, np=False))
+        assert isinstance(on, Support)
+        assert on.labels.shape == (32, 32) and on.protos.shape == (7, 16)
+        assert on.periphery.shape == (16,) and off.periphery is None
+        assert on.labels.tobytes() == off.labels.tobytes() and on.protos.tobytes() == off.protos.tobytes()
+        # the np-off product leaves the periphery row out even when the support has one
+        assert query_maps(on, ph.query_features, PromptConfig(n_regions=7, seed=2, np=False))[2] is None
+
+    def test_full_frame_support_has_no_periphery_row(self):
+        f = FeatureMap(np.random.default_rng(1).standard_normal((4, 6, 6)).astype(np.float32))
+        full = BitMask(np.ones((6, 6), dtype=np.uint8))
+        support = prepare_support(f, full, PromptConfig(n_regions=3))
+        assert support.periphery is None
+        assert query_maps(support, f, PromptConfig(n_regions=3))[2] is None
+
+    def test_query_channel_mismatch(self):
+        f = FeatureMap(np.zeros((2, 4, 4), dtype=np.float32))
+        support = prepare_support(f, BitMask(np.ones((4, 4), dtype=np.uint8)), PromptConfig())
+        with pytest.raises(ShapeError, match="channel count"):
+            query_maps(support, FeatureMap(np.zeros((3, 4, 4), dtype=np.float32)), PromptConfig())
+
+    def test_one_seed_stream_spawn_per_episode(self, monkeypatch):
+        calls, real = [], mp.episode_seed_streams
+
+        def counted(seed):
+            calls.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(pl, "episode_seed_streams", counted)
+        monkeypatch.setattr(mp, "episode_seed_streams", counted)
+        ph = generate_phantom(PhantomSpec(family="annulus", seed=4))
+        execute_episode(ph.support_features, ph.support_mask, ph.query_features, PromptConfig(seed=4))
+        assert calls == [4]
 
 
 class TestRunEpisode:
@@ -409,16 +579,14 @@ class TestAblation:
         assert len(report.rows) == 1 * 1 * 5 * 2
 
     def test_failed_rows_are_flagged_not_dropped(self, monkeypatch):
-        import maup.pipeline as pl
+        real = pl.select_prompts
 
-        real = pl.execute_episode
-
-        def flaky(support_features, support_mask, query_features, cfg):
+        def flaky(mean, uncert, neg_map, cfg, pos_seed, neg_seed):
             if cfg.seed == 1:
                 raise EmptyMaskError("synthetic failure")
-            return real(support_features, support_mask, query_features, cfg)
+            return real(mean, uncert, neg_map, cfg, pos_seed, neg_seed)
 
-        monkeypatch.setattr(pl, "execute_episode", flaky)
+        monkeypatch.setattr(pl, "select_prompts", flaky)
         report = pl.ablation_run(
             [PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, 1, 2]
         )
@@ -427,6 +595,80 @@ class TestAblation:
         assert statuses[0] == "ok" and statuses[2] == "ok"
         assert statuses[1].startswith("failed:")
         assert report.rows[1].dice is None
+
+    @pytest.mark.parametrize("contrast, noise", [(1.0, 0.0), (0.4, 0.1), (0.2, 0.3)])
+    def test_csv_bytes_match_the_per_cell_reference(self, tmp_path, contrast, noise):
+        families = [PhantomSpec(family=f, size=16, contrast=contrast, noise=noise) for f in FAMILIES]
+        args = (families, VALID_TOGGLES, [0, 1, 5, 30, 60, 500, 5], [0, 1, 2])
+        ablation_run(*args).write_csv(tmp_path / "got.csv")
+        reference_ablation(*args).write_csv(tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"failed: n_min, n_neg, radius, n_regions and scale must be >= 1" in got  # nf 0
+
+    @pytest.mark.parametrize(
+        "stage, bad, fails",
+        [
+            # the support of one n_f
+            ("farthest_point_seeds", lambda args: args[1] == 5, lambda row: row.n_f == 5),
+            # the periphery row
+            ("periphery_mask", lambda args: True, lambda row: row.np),
+            # the negative-path-off product at n_f 5: 5 regional rows
+            ("similarity_stack", lambda args: len(args[1]) == 5, lambda row: not row.np and row.n_f == 5),
+            # the negative-path-on product at n_f 5: 5 regional rows and the periphery row
+            ("similarity_stack", lambda args: len(args[1]) == 6, lambda row: row.np and row.n_f == 5),
+        ],
+    )
+    def test_a_shared_stage_failure_fails_its_cells_as_before(self, monkeypatch, stage, bad, fails):
+        real = getattr(pl, stage)
+
+        def broken(*args):
+            if bad(args):
+                raise EmptyMaskError(f"synthetic {stage} failure")
+            return real(*args)
+
+        monkeypatch.setattr(pl, stage, broken)
+        args = ([PhantomSpec(family="disk"), PhantomSpec(family="ellipse")], VALID_TOGGLES, [1, 5], [0, 1])
+        report = ablation_run(*args)
+        assert report == reference_ablation(*args)
+        for row in report.rows:
+            assert row.status == (f"failed: synthetic {stage} failure" if fails(row) else "ok"), row
+
+    def test_shared_work_per_sweep_call(self, monkeypatch):
+        counts = {}
+
+        def counting(name):
+            real = getattr(pl, name)
+
+            def counted(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args)
+
+            return counted
+
+        names = [
+            "episode_seed_streams",
+            "farthest_point_seeds",
+            "voronoi_partition",
+            "regional_prototypes",
+            "periphery_mask",
+            "similarity_stack",
+            "select_prompts",
+        ]
+        for name in names:
+            monkeypatch.setattr(pl, name, counting(name))
+        families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
+        report = ablation_run(families, SWEEP_TOGGLES, nf_values=[1, 5, 15, 30, 60], seeds=[0])
+        assert len(report.rows) == 60 and all(r.status == "ok" for r in report.rows)
+        assert counts == {
+            "episode_seed_streams": 4,  # one per (family, seed)
+            "farthest_point_seeds": 20,  # one support per (family, n_f, seed)
+            "voronoi_partition": 20,
+            "regional_prototypes": 20,
+            "periphery_mask": 20,
+            "similarity_stack": 40,  # one product per row set: negative path off, on
+            "select_prompts": 60,  # prompting stays per cell
+        }
 
     def test_phantom_generated_once_per_family_and_seed(self, monkeypatch):
         import maup.pipeline as pl
@@ -508,11 +750,19 @@ class TestAblation:
             build_export(ps, 1, 4, 4)  # point (5,5) outside a 4x4 frame
 
 
+def phantom_dice(spec: PhantomSpec, cfg: PromptConfig, threshold: float = 0.5) -> float:
+    """Generate a phantom, prompt it, segment it with the surrogate, and score it."""
+    ph = generate_phantom(spec)
+    res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
+    export = build_export(res.prompts, res.n_regions, ph.query_features.height, ph.query_features.width)
+    return dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
+
+
 class TestEndToEnd:
     def test_disk_family_dice(self):
         scores = []
         for seed in range(10):
-            d, _ = run_phantom_episode(
+            d = phantom_dice(
                 PhantomSpec(family="disk", contrast=1.0, noise=0.0, seed=seed),
                 PromptConfig(seed=seed, scale=1),
             )
@@ -521,7 +771,7 @@ class TestEndToEnd:
 
     def test_negative_prompts_never_kill_the_organ(self):
         for seed in range(10):
-            d_full, export = run_phantom_episode(
+            d_full = phantom_dice(
                 PhantomSpec(family="two-lobe", contrast=0.4, noise=0.1, seed=seed),
                 PromptConfig(seed=seed, scale=1),
             )

@@ -451,6 +451,18 @@ class TestGeneratePrompts:
         assert ps.negatives == ()
         assert "np-exhausted-by-positives" in ps.flags
 
+    @pytest.mark.parametrize("toggles", [(True, True, True), (False, True, True), (True, False, True)])
+    def test_input_maps_are_left_unchanged(self, toggles):
+        # a sweep hands one set of maps to several configs, so prompting must only read them
+        mmp, ump, np_ = toggles
+        maps = self.make_maps()
+        before = [m.values.tobytes() for m in maps]
+        for m in maps:
+            m.values.flags.writeable = False  # any write raises instead of passing silently
+        for seed in range(4):
+            generate_prompts(*maps, PromptConfig(mmp=mmp, ump=ump, np=np_, seed=seed, scale=1))
+        assert [m.values.tobytes() for m in maps] == before
+
     def test_determinism_across_calls(self):
         mean, uncert, neg = self.make_maps()
         cfg = PromptConfig(seed=123)

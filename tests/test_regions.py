@@ -188,6 +188,29 @@ class TestVoronoiPartition:
             farthest_point_seeds(BitMask(np.ones((2, 2), dtype=np.uint8)), 0, 0)
 
 
+def dilate_reference(m, se):
+    """``dilate`` as first written: one slice-OR per offset."""
+    h, w = m.height, m.width
+    out = np.zeros_like(m.bits)
+    for dy, dx in se.offsets:
+        y0, y1 = max(0, dy), h + min(0, dy)
+        x0, x1 = max(0, dx), w + min(0, dx)
+        if y0 < y1 and x0 < x1:
+            out[y0:y1, x0:x1] |= m.bits[y0 - dy : y1 - dy, x0 - dx : x1 - dx]
+    return out
+
+
+@st.composite
+def structuring_elements(draw):
+    """A disk, or custom offsets: the origin plus symmetric pairs within a 15 x 15 window."""
+    radius = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return StructuringElement.disk(radius)
+    half = draw(st.sets(st.tuples(st.integers(-7, 7), st.integers(-7, 7)), max_size=20))
+    offsets = {(0, 0)} | half | {(-dy, -dx) for dy, dx in half}
+    return StructuringElement(radius=radius, offsets=tuple(sorted(offsets)))
+
+
 class TestDilate:
     def test_all_zero_stays_zero(self):
         m = BitMask(np.zeros((5, 5), dtype=np.uint8))
@@ -209,6 +232,21 @@ class TestDilate:
         se = StructuringElement.disk(r)
         out = dilate(m, se)
         assert np.array_equal(out.bits, np.array(dilate_oracle(m.bits, se.offsets), dtype=np.uint8))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bits=st.integers(1, 39).flatmap(
+            lambda h: st.integers(1, 39).flatmap(
+                lambda w: arrays(np.uint8, (h, w), elements=st.integers(0, 1))
+            )
+        ),
+        se=structuring_elements(),
+    )
+    def test_matches_per_offset_reference(self, bits, se):
+        m = BitMask(bits)
+        out = dilate(m, se).bits
+        want = dilate_reference(m, se)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
     def test_extensive_and_increasing(self):
         se = StructuringElement.disk(2)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maup.errors import EmptyCandidateError, EmptyMaskError, EmptyStackError, ShapeError
+from maup.errors import EmptyCandidateError, EmptyStackError, ShapeError
 from maup.simmaps import (
     cosine_map,
     extract_candidates,
@@ -16,7 +16,7 @@ from maup.simmaps import (
     uncertainty_map,
     write_pgm,
 )
-from maup.tensors import BitMask, FeatureMap, PointRC, ScalarMap
+from maup.tensors import FeatureMap, PointRC, ScalarMap
 
 from oracles import cosine_oracle, mean_oracle, percentile_oracle, variance_oracle
 
@@ -267,21 +267,6 @@ class TestPercentile:
         m = ScalarMap(rng.standard_normal((7, 9)).astype(np.float32))
         got = percentile_threshold(m, pct)
         assert got == pytest.approx(percentile_oracle(m.values.ravel(), pct), rel=1e-12)
-
-    def test_roi_restriction(self):
-        m = ScalarMap(np.array([[0.0, 10.0], [20.0, 30.0]], dtype=np.float32))
-        roi = BitMask(np.array([[0, 1], [1, 0]], dtype=np.uint8))
-        assert percentile_threshold(m, 50.0, roi=roi) == pytest.approx(15.0)
-
-    def test_empty_roi(self):
-        m = ScalarMap(np.zeros((2, 2), dtype=np.float32))
-        with pytest.raises(EmptyMaskError):
-            percentile_threshold(m, 50.0, roi=BitMask(np.zeros((2, 2), dtype=np.uint8)))
-
-    def test_roi_shape_mismatch(self):
-        m = ScalarMap(np.zeros((2, 2), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            percentile_threshold(m, 50.0, roi=BitMask(np.ones((3, 3), dtype=np.uint8)))
 
     @pytest.mark.parametrize("pct", [0.0, 100.0, -3.0, 120.0])
     def test_out_of_range_pct(self, pct):
