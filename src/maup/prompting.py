@@ -16,6 +16,7 @@ draw order, so identical inputs and seed give identical prompts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ClusterError, ConfigError, EmptyCandidateError, ShapeError
 from .regions import area_and_perimeter
-from .simmaps import extract_candidates, percentile_threshold
+from .simmaps import candidate_mask, percentile_threshold
 from .tensors import BitMask, PointRC, ScalarMap
 
 MEAN_TAG = "mean-centroid"
@@ -112,22 +113,13 @@ def episode_seed_streams(seed) -> tuple[np.random.SeedSequence, ...]:
     return tuple(np.random.SeedSequence(seed).spawn(3))
 
 
-def complexity(mean: ScalarMap, tau_mean: float) -> ComplexityScore:
-    """Score the region where the mean map reaches ``tau_mean``."""
-    bits = (mean.values.astype(np.float64) >= tau_mean).astype(np.uint8)
-    if not bits.any():
+def complexity(hot: np.ndarray) -> ComplexityScore:
+    """Score a thresholded region, given as its H x W boolean mask."""
+    if not hot.any():
         raise EmptyCandidateError("no pixel reaches the mean threshold")
-    area, perimeter = area_and_perimeter(BitMask(bits))
-    h, w = mean.height, mean.width
-    area_norm = area / (h * w)
-    perimeter_norm = perimeter / (2 * (h + w))
-    return ComplexityScore(
-        area=area,
-        perimeter=perimeter,
-        area_norm=area_norm,
-        perimeter_norm=perimeter_norm,
-        c=area_norm + perimeter_norm,
-    )
+    area, perimeter = area_and_perimeter(BitMask(hot.astype(np.uint8)))
+    area_norm, perimeter_norm = area / hot.size, perimeter / (2 * sum(hot.shape))
+    return ComplexityScore(area, perimeter, area_norm, perimeter_norm, area_norm + perimeter_norm)
 
 
 def adaptive_k(score: ComplexityScore, gamma: float, n_min: int, n_max: int) -> int:
@@ -158,7 +150,10 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 def _assign(coords: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center labels (ties to the lowest index) and the N x k squared distances."""
-    d2 = ((coords[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = coords[:, :1] - centers[:, 0]
+    dc = coords[:, 1:] - centers[:, 1]
+    d2 *= d2
+    d2 += dc * dc
     return d2.argmin(axis=1), d2
 
 
@@ -168,14 +163,14 @@ def lloyd_cluster(
     seed,
     max_iter: int = 100,
     tol: float = 1e-4,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Lloyd's iteration with seeded k-means++ initialization.
 
-    Returns (centers, labels, initial WCSS, final WCSS). Assignment ties go
-    to the lowest center index. A cluster that loses all members is reseeded
-    at the point currently farthest from its own center, which never
-    increases the objective. Stops when every center moves less than ``tol``
-    or after ``max_iter`` rounds.
+    Returns (centers, labels, the final N x k squared distances, initial WCSS,
+    final WCSS). Assignment ties go to the lowest center index. A cluster that
+    loses all members is reseeded at the point currently farthest from its own
+    center, which never increases the objective. Stops when every center moves
+    less than ``tol`` or after ``max_iter`` rounds.
 
     Centers are ``np.bincount`` coordinate sums over counts. For integer
     coordinates (every maup caller passes grid pixels) those sums are exact
@@ -186,25 +181,26 @@ def lloyd_cluster(
     if n == 0:
         raise EmptyCandidateError("cannot cluster zero points")
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+        raise ConfigError(f"need 1 <= k <= {n}, got {k}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(coords, k, rng)
     labels, d2 = _assign(coords, centers)
     wcss_init = float(d2[np.arange(n), labels].sum())
+    axes = coords.T.copy()  # contiguous weights for np.bincount
     for _ in range(max_iter):
         counts = np.bincount(labels, minlength=k)
-        sums = np.stack([np.bincount(labels, col, k) for col in coords.T], axis=1)
-        filled = counts > 0
-        new_centers = centers.copy()
-        new_centers[filled] = sums[filled] / counts[filled, None]
-        empties = np.flatnonzero(~filled).tolist()
+        size = np.maximum(counts, 1)  # an empty cluster's center is reseeded below
+        new_centers = np.empty((k, 2))
+        for axis, weights in enumerate(axes):
+            np.divide(np.bincount(labels, weights, k), size, out=new_centers[:, axis])
+        empties = [j for j, count in enumerate(counts.tolist()) if not count]
         if empties:
             own_d2 = d2[np.arange(n), labels]
             for j in empties:
                 far = int(np.argmax(own_d2))
                 new_centers[j] = coords[far]
                 own_d2[far] = -1.0  # keep a second empty cluster off this point
-        moved = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        moved = max(math.sqrt(dr * dr + dc * dc) for dr, dc in (new_centers - centers).tolist())
         centers = new_centers
         labels, d2 = _assign(coords, centers)
         if moved < tol and not empties:
@@ -212,110 +208,104 @@ def lloyd_cluster(
     wcss_final = float(d2[np.arange(n), labels].sum())
     if wcss_final > wcss_init + 1e-9:
         raise ClusterError("k-means objective increased")  # descent must hold
-    return centers, labels, wcss_init, wcss_final
+    return centers, labels, d2, wcss_init, wcss_final
 
 
-def kmeans(points: list[PointRC], k: int, seed) -> list[PointRC]:
-    """Cluster candidate pixels and return one on-grid point per cluster.
+def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
+    """Cluster N x 2 integer (row, col) points and return one of them per cluster.
 
-    Each returned point is the candidate nearest its cluster's real-valued
-    center (ties toward the smallest row-major index). ``k`` larger than the
-    number of distinct points is reduced; degenerate duplicate snaps are
-    dropped, so at most k and at least 1 point come back.
+    Each returned point is the one nearest its cluster's real-valued center
+    (ties toward the smallest index; an empty cluster draws from all points).
+    ``k`` larger than the number of distinct points is reduced and duplicate
+    snaps are dropped, so 1 to k rows come back (int64, in cluster order).
     """
-    if not points:
+    pts = np.asarray(points, dtype=np.int64)
+    if len(pts) == 0:
         raise EmptyCandidateError("cannot run k-means on zero candidates")
     if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    coords = np.asarray(points, dtype=np.float64)
-    k = min(k, len(np.unique(coords, axis=0)))
-    centers, labels, _, _ = lloyd_cluster(coords, k, seed)
-    chosen: list[PointRC] = []
-    for j in range(len(centers)):
-        members = np.flatnonzero(labels == j)
-        pool = members if len(members) else np.arange(len(points))
-        d2 = ((coords[pool] - centers[j]) ** 2).sum(axis=1)
-        pick = int(pool[int(np.argmin(d2))])  # first min = smallest index
-        chosen.append(points[pick])
-    out: list[PointRC] = []
-    for p in chosen:
-        if p not in out:
-            out.append(p)
-    return out
+        raise ConfigError(f"need k >= 1, got {k}")
+    keys = np.sort(pts[:, 0] * (np.ptp(pts[:, 1]) + 1) + pts[:, 1])  # row-major, one per point
+    k = min(k, 1 + np.count_nonzero(np.diff(keys)))  # distinct points
+    _, labels, d2, _, _ = lloyd_cluster(pts, k, seed)
+    members = labels[:, None] == np.arange(k)
+    nearest = np.where(members, d2, np.inf).argmin(axis=0)  # first min = smallest index
+    lonely = ~members.any(axis=0)
+    nearest[lonely] = d2[:, lonely].argmin(axis=0)
+    return pts[list(dict.fromkeys(nearest.tolist()))]
 
 
 def positive_prompts(
     mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig, seed
-) -> tuple[list[PromptPoint], int, float | None, float | None]:
-    """Select tagged positive prompts from the enabled paths.
+) -> tuple[np.ndarray, np.ndarray, int, float | None, float | None]:
+    """Select positive prompts from the enabled paths.
 
     The mean path contributes k cluster centers of the thresholded mean map;
     the uncertainty path adds 2 random candidate picks, redrawing up to
     10 times on collision with already selected points and then falling back
-    to the lexicographically smallest unused candidates. With fewer than 2
-    usable candidates the uncertainty path contributes nothing.
+    to the smallest unused row-major candidates. With fewer than 2 usable
+    candidates the uncertainty path contributes nothing.
 
-    Returns (prompts, k, tau_mean, tau_uncert); k is 0 and a threshold None
-    for a path that is off.
+    Returns (mean points, uncertainty points, k, tau_mean, tau_uncert) with
+    M x 2 int64 (row, col) point arrays; a path that is off gives no points,
+    and k 0 or a threshold None.
     """
     if not (cfg.mmp or cfg.ump):
         raise ConfigError("at least one positive path (mmp or ump) must be enabled")
     if mean.values.shape != uncert.values.shape:
         raise ShapeError("mean and uncertainty maps differ in shape")
     rng = np.random.default_rng(seed)
-    out: list[PromptPoint] = []
-    taken: set[PointRC] = set()
-    k = 0
-    tau_mean = tau_uncert = None
+    mean_pts = uncert_pts = np.empty((0, 2), dtype=np.int64)
+    k, tau_mean, tau_uncert = 0, None, None
 
     if cfg.mmp:
         tau_mean = percentile_threshold(mean, cfg.percentile)
-        q_mean = extract_candidates(mean, tau_mean, "mean")
-        k = adaptive_k(complexity(mean, tau_mean), cfg.gamma, cfg.n_min, cfg.n_max)
-        for p in kmeans(q_mean, k, rng):
-            out.append(PromptPoint(p, MEAN_TAG))
-            taken.add(p)
+        hot = candidate_mask(mean, tau_mean, "mean")
+        k = adaptive_k(complexity(hot), cfg.gamma, cfg.n_min, cfg.n_max)
+        mean_pts = kmeans(np.argwhere(hot), k, rng)
 
     if cfg.ump:
         tau_uncert = percentile_threshold(uncert, cfg.percentile)
-        q_uncert = extract_candidates(uncert, tau_uncert, "uncertainty")
-        usable = [p for p in q_uncert if p not in taken]
-        if len(usable) >= N_UNCERTAINTY_PICKS:
+        hot = candidate_mask(uncert, tau_uncert, "uncertainty").ravel()
+        cands = np.flatnonzero(hot)  # flat indices, row-major
+        taken = (mean_pts[:, 0] * uncert.width + mean_pts[:, 1]).tolist()
+        if len(cands) - np.count_nonzero(hot[taken]) >= N_UNCERTAINTY_PICKS:
             for _ in range(N_UNCERTAINTY_PICKS):
-                pick = None
                 for _ in range(MAX_REDRAWS):
-                    cand = q_uncert[int(rng.integers(len(q_uncert)))]
-                    if cand not in taken:
-                        pick = cand
+                    pick = int(cands[rng.integers(len(cands))])
+                    if pick not in taken:
                         break
-                if pick is None:
-                    pick = min(p for p in q_uncert if p not in taken)
-                out.append(PromptPoint(pick, UNCERTAINTY_TAG))
-                taken.add(pick)
+                else:
+                    pick = next(i for i in cands.tolist() if i not in taken)
+                taken.append(pick)
+        picks = [divmod(i, uncert.width) for i in taken[len(mean_pts) :]]
+        uncert_pts = np.array(picks, dtype=np.int64).reshape(-1, 2)
 
-    return out, k, tau_mean, tau_uncert
+    return mean_pts, uncert_pts, k, tau_mean, tau_uncert
 
 
 def negative_prompts(
     neg_map: ScalarMap,
-    positives: list[PointRC],
+    positives: np.ndarray,
     n_neg: int,
     seed,
     percentile: float = 95.0,
-) -> tuple[list[PointRC], float]:
+) -> tuple[np.ndarray, float]:
     """Spread negative prompts over the hottest periphery-similarity pixels.
 
-    Candidates colliding with positives are removed first. Returns the
-    prompts and the threshold; the list is empty (never raises) when nothing
-    survives, and callers flag that condition.
+    Candidates colliding with the M x 2 (row, col) ``positives`` are removed
+    first. Returns an N x 2 int64 prompt array and the threshold; the array is
+    empty (never raises) when nothing survives, and callers flag that.
     """
     if n_neg < 1:
-        raise ValueError(f"need n_neg >= 1, got {n_neg}")
+        raise ConfigError(f"need n_neg >= 1, got {n_neg}")
     tau_neg = percentile_threshold(neg_map, percentile)
-    pos = set(positives)
-    remaining = [p for p in extract_candidates(neg_map, tau_neg, "negative") if p not in pos]
-    if not remaining:
-        return [], tau_neg
+    hot = candidate_mask(neg_map, tau_neg, "negative")
+    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
+    pos = pos[((pos >= 0) & (pos < hot.shape)).all(axis=1)]  # only in-frame points collide
+    hot[pos[:, 0], pos[:, 1]] = False
+    remaining = np.argwhere(hot)
+    if not len(remaining):
+        return remaining, tau_neg
     return kmeans(remaining, min(n_neg, len(remaining)), seed), tau_neg
 
 
@@ -348,30 +338,29 @@ def select_prompts(
 
     The maps are only read, so callers may share them between configs.
     """
-    positives, k_used, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, pos_seed)
+    mean_pts, unc_pts, k_used, tau_mean, tau_unc = positive_prompts(mean, uncert, cfg, pos_seed)
 
-    negatives: list[PointRC] = []
+    neg_pts = np.empty((0, 2), dtype=np.int64)
     tau_neg = None
     flags: list[str] = []
-    if not cfg.np:
-        pass
-    elif neg_map is None:
+    if cfg.np and neg_map is None:
         flags.append("np-disabled-empty-periphery")
-    else:
-        negatives, tau_neg = negative_prompts(
-            neg_map, [p.point for p in positives], cfg.n_neg, neg_seed, cfg.percentile
+    elif cfg.np:
+        neg_pts, tau_neg = negative_prompts(
+            neg_map, np.concatenate([mean_pts, unc_pts]), cfg.n_neg, neg_seed, cfg.percentile
         )
-        if not negatives:
+        if not len(neg_pts):
             flags.append("np-exhausted-by-positives")
 
     return PromptSet(
-        positives=tuple(positives),
-        negatives=tuple(negatives),
+        positives=tuple(PromptPoint(PointRC(r, c), MEAN_TAG) for r, c in mean_pts.tolist())
+        + tuple(PromptPoint(PointRC(r, c), UNCERTAINTY_TAG) for r, c in unc_pts.tolist()),
+        negatives=tuple(PointRC(r, c) for r, c in neg_pts.tolist()),
         k_used=k_used,
         seed=cfg.seed,
         scale=cfg.scale,
         tau_mean=tau_mean,
-        tau_uncert=tau_uncert,
+        tau_uncert=tau_unc,
         tau_neg=tau_neg,
         flags=tuple(flags),
     )

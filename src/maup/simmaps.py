@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCandidateError, EmptyStackError, ShapeError
-from .tensors import FeatureMap, PointRC, ScalarMap
+from .errors import ConfigError, EmptyCandidateError, EmptyStackError, ShapeError
+from .tensors import FeatureMap, ScalarMap
 
 
 def similarity_stack(f_q: FeatureMap, protos: np.ndarray) -> np.ndarray:
@@ -65,18 +65,29 @@ def uncertainty_map(stack: np.ndarray, mean: ScalarMap) -> ScalarMap:
 
 
 def percentile_threshold(map_: ScalarMap, pct: float) -> float:
-    """Linear-interpolated percentile of the map's values."""
+    """``np.percentile(values, pct)`` bit for bit: numpy's partition kth set, then its lerp."""
     if not 0.0 < pct < 100.0:
-        raise ValueError(f"percentile must be in (0, 100), got {pct}")
-    return float(np.percentile(map_.values.astype(np.float64), pct))
+        raise ConfigError(f"percentile must be in (0, 100), got {pct}")
+    vals = map_.values.astype(np.float64).ravel()
+    last = vals.size - 1
+    virtual = last * (pct / 100)
+    lo, hi = (int(virtual), int(virtual) + 1) if virtual < last else (-1, -1)  # -1: the maximum
+    vals.partition(sorted({0, last, lo % vals.size, hi % vals.size}))
+    a, b, t = vals[lo], vals[hi], virtual - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def extract_candidates(map_: ScalarMap, tau: float, tag: str) -> list[PointRC]:
-    """All pixels with value >= tau, in row-major order; ``tag`` names the map in errors."""
-    rows, cols = np.nonzero(map_.values.astype(np.float64) >= tau)
-    if len(rows) == 0:
+def candidate_mask(map_: ScalarMap, tau: float, tag: str) -> np.ndarray:
+    """H x W bool mask of the values >= tau (in float64); ``tag`` names the map in errors."""
+    hot = map_.values >= np.float64(tau)
+    if not hot.any():
         raise EmptyCandidateError(f"no pixel of the {tag} map reaches {tau}")
-    return [PointRC(r, c) for r, c in zip(rows.tolist(), cols.tolist())]
+    return hot
+
+
+def extract_candidates(map_: ScalarMap, tau: float, tag: str) -> np.ndarray:
+    """The pixels of :func:`candidate_mask` as an N x 2 int64 (row, col) array, row-major."""
+    return np.argwhere(candidate_mask(map_, tau, tag))
 
 
 def write_pgm(map_: ScalarMap, path) -> None:

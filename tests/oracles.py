@@ -107,6 +107,12 @@ def percentile_oracle(values, pct):
     return vals[lo] + frac * (vals[hi] - vals[lo])
 
 
+def candidates_oracle(values, tau):
+    """Row-major (row, col) pixels whose value, taken as a float64, reaches tau."""
+    h, w = values.shape
+    return [(y, x) for y in range(h) for x in range(w) if float(values[y, x]) >= tau]
+
+
 def perimeter_oracle(bits):
     """Count exposed 4-neighbor edges pixel by pixel."""
     h, w = bits.shape

@@ -337,7 +337,7 @@ def test_kmeans_descent_and_two_means_optimality():
             np.float64
         )
         k = int(rng.integers(1, min(8, len(coords)) + 1))
-        _, _, w0, w1 = lloyd_cluster(coords, k, seed)
+        _, _, _, w0, w1 = lloyd_cluster(coords, k, seed)
         descent_ok &= w1 <= w0 + 1e-9
 
     hits = 0
@@ -350,7 +350,7 @@ def test_kmeans_descent_and_two_means_optimality():
             jitter = rng.integers(-2, 3, (int(rng.integers(5, 11)), 2))
             pts.extend((int(cy + dy), int(cx + dx)) for dy, dx in jitter)
         pts = list(dict.fromkeys(pts))[:20]
-        _, _, _, wcss = lloyd_cluster(np.asarray(pts, dtype=np.float64), 2, trial)
+        *_, wcss = lloyd_cluster(np.asarray(pts, dtype=np.float64), 2, trial)
         if wcss <= two_means_oracle_fast(pts) + 1e-9:
             hits += 1
 

@@ -236,9 +236,10 @@ class TestExecuteEpisode:
         cfg = PromptConfig(seed=9, scale=1)
         res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
         ps = res.prompts
-        q_mean = set(extract_candidates(res.mean, ps.tau_mean, "mean"))
-        q_unc = set(extract_candidates(res.uncertainty, ps.tau_uncert, "uncertainty"))
-        q_neg = set(extract_candidates(res.negative, ps.tau_neg, "negative"))
+        maps = [(res.mean, ps.tau_mean), (res.uncertainty, ps.tau_uncert), (res.negative, ps.tau_neg)]
+        q_mean, q_unc, q_neg = (
+            {PointRC(*p) for p in extract_candidates(m, tau, "map").tolist()} for m, tau in maps
+        )
         for p in ps.positives:
             assert p.point in (q_mean if p.source == MEAN_TAG else q_unc)
         assert set(ps.negatives) <= q_neg

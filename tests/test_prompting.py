@@ -1,3 +1,4 @@
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maup.prompting as mp
-from maup.errors import ClusterError, ConfigError, EmptyCandidateError, MaupError
+from maup.errors import ClusterError, ConfigError, EmptyCandidateError, MaupError, ShapeError
 from maup.prompting import (
     MEAN_TAG,
     UNCERTAINTY_TAG,
     ComplexityScore,
     PromptConfig,
+    PromptPoint,
+    PromptSet,
     adaptive_k,
     complexity,
     generate_prompts,
@@ -19,22 +22,30 @@ from maup.prompting import (
     lloyd_cluster,
     negative_prompts,
     positive_prompts,
+    select_prompts,
 )
+from maup.regions import area_and_perimeter
 from maup.simmaps import extract_candidates, percentile_threshold
-from maup.tensors import PointRC, ScalarMap
+from maup.tensors import BitMask, PointRC, ScalarMap
 
-from oracles import two_means_oracle
+from oracles import candidates_oracle, two_means_oracle
+
+
+def assign_reference(coords, centers):
+    """``_assign`` as first written: one N x k x 2 broadcast, squared and summed."""
+    d2 = ((coords[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1), d2
 
 
 def lloyd_reference(coords, k, seed, max_iter=100, tol=1e-4):
-    """``lloyd_cluster`` as first written, with a per-cluster ``mean`` loop:
-    the bit-exact reference for integer coordinates. It shares the module's
-    seeding and assignment, so it differs only in the center update."""
+    """``lloyd_cluster`` as first written, with a per-cluster ``mean`` loop and
+    the broadcast assignment: the bit-exact reference for integer coordinates.
+    It shares only the module's k-means++ seeding."""
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
     rng = np.random.default_rng(seed)
     centers = mp._kmeans_pp_init(coords, k, rng)
-    labels, d2 = mp._assign(coords, centers)
+    labels, d2 = assign_reference(coords, centers)
     wcss_init = float(d2[np.arange(n), labels].sum())
     for _ in range(max_iter):
         new_centers = centers.copy()
@@ -51,11 +62,158 @@ def lloyd_reference(coords, k, seed, max_iter=100, tol=1e-4):
                 own_d2[far] = -1.0
         moved = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        labels, d2 = mp._assign(coords, centers)
+        labels, d2 = assign_reference(coords, centers)
         if moved < tol and not empties:
             break
     wcss_final = float(d2[np.arange(n), labels].sum())
     return centers, labels, wcss_init, wcss_final
+
+
+# The list-based prompting code that the array code replaced, kept as the
+# bit-exact reference: candidates are row-major lists of PointRC, thresholds
+# come from np.percentile, and k-means runs on lloyd_reference.
+
+
+def percentile_reference(map_, pct):
+    return float(np.percentile(map_.values.astype(np.float64), pct))
+
+
+def candidates_reference(map_, tau, tag):
+    points = [PointRC(r, c) for r, c in candidates_oracle(map_.values, tau)]
+    if not points:
+        raise EmptyCandidateError(f"no pixel of the {tag} map reaches {tau}")
+    return points
+
+
+def complexity_reference(mean, tau_mean):
+    bits = (mean.values.astype(np.float64) >= tau_mean).astype(np.uint8)
+    if not bits.any():
+        raise EmptyCandidateError("no pixel reaches the mean threshold")
+    area, perimeter = area_and_perimeter(BitMask(bits))
+    h, w = mean.height, mean.width
+    area_norm = area / (h * w)
+    perimeter_norm = perimeter / (2 * (h + w))
+    return ComplexityScore(area, perimeter, area_norm, perimeter_norm, area_norm + perimeter_norm)
+
+
+def kmeans_reference(points, k, seed):
+    if not points:
+        raise EmptyCandidateError("cannot run k-means on zero candidates")
+    if k < 1:
+        raise ConfigError(f"need k >= 1, got {k}")
+    coords = np.asarray(points, dtype=np.float64)
+    k = min(k, len(np.unique(coords, axis=0)))
+    centers, labels, _, _ = lloyd_reference(coords, k, seed)
+    chosen = []
+    for j in range(len(centers)):
+        members = np.flatnonzero(labels == j)
+        pool = members if len(members) else np.arange(len(points))
+        d2 = ((coords[pool] - centers[j]) ** 2).sum(axis=1)
+        chosen.append(points[int(pool[int(np.argmin(d2))])])  # first min = smallest index
+    return list(dict.fromkeys(chosen))
+
+
+def positive_reference(mean, uncert, cfg, seed):
+    rng = np.random.default_rng(seed)
+    out, taken = [], set()
+    k = 0
+    tau_mean = tau_uncert = None
+    if cfg.mmp:
+        tau_mean = percentile_reference(mean, cfg.percentile)
+        q_mean = candidates_reference(mean, tau_mean, "mean")
+        k = adaptive_k(complexity_reference(mean, tau_mean), cfg.gamma, cfg.n_min, cfg.n_max)
+        for p in kmeans_reference(q_mean, k, rng):
+            out.append(PromptPoint(p, MEAN_TAG))
+            taken.add(p)
+    if cfg.ump:
+        tau_uncert = percentile_reference(uncert, cfg.percentile)
+        q_uncert = candidates_reference(uncert, tau_uncert, "uncertainty")
+        if len([p for p in q_uncert if p not in taken]) >= mp.N_UNCERTAINTY_PICKS:
+            for _ in range(mp.N_UNCERTAINTY_PICKS):
+                pick = None
+                for _ in range(mp.MAX_REDRAWS):
+                    cand = q_uncert[int(rng.integers(len(q_uncert)))]
+                    if cand not in taken:
+                        pick = cand
+                        break
+                if pick is None:
+                    pick = min(p for p in q_uncert if p not in taken)
+                out.append(PromptPoint(pick, UNCERTAINTY_TAG))
+                taken.add(pick)
+    return out, k, tau_mean, tau_uncert
+
+
+def negative_reference(neg_map, positives, n_neg, seed, percentile=95.0):
+    if n_neg < 1:
+        raise ConfigError(f"need n_neg >= 1, got {n_neg}")
+    tau_neg = percentile_reference(neg_map, percentile)
+    pos = set(positives)
+    remaining = [p for p in candidates_reference(neg_map, tau_neg, "negative") if p not in pos]
+    if not remaining:
+        return [], tau_neg
+    return kmeans_reference(remaining, min(n_neg, len(remaining)), seed), tau_neg
+
+
+def select_reference(mean, uncert, neg_map, cfg, pos_seed, neg_seed):
+    positives, k_used, tau_mean, tau_uncert = positive_reference(mean, uncert, cfg, pos_seed)
+    negatives, tau_neg, flags = [], None, []
+    if cfg.np and neg_map is None:
+        flags.append("np-disabled-empty-periphery")
+    elif cfg.np:
+        negatives, tau_neg = negative_reference(
+            neg_map, [p.point for p in positives], cfg.n_neg, neg_seed, cfg.percentile
+        )
+        if not negatives:
+            flags.append("np-exhausted-by-positives")
+    return PromptSet(
+        tuple(positives), tuple(negatives), k_used, cfg.seed, cfg.scale,
+        tau_mean, tau_uncert, tau_neg, tuple(flags),
+    )
+
+
+def exact(value):
+    """A float threshold by its bits (so 0.0 and -0.0 differ), None as is."""
+    return None if value is None else np.float64(value).tobytes()
+
+
+def outcome(run):
+    """Everything a prompting call returns, or the typed error it raises."""
+    try:
+        ps = run()
+    except MaupError as e:
+        return type(e).__name__, str(e)
+    taus = tuple(exact(t) for t in (ps.tau_mean, ps.tau_uncert, ps.tau_neg))
+    return ps.positives, ps.negatives, ps.k_used, taus, ps.flags
+
+
+def as_points(arr):
+    """An N x 2 prompt array as a list of PointRC, checking its dtype and shape."""
+    assert arr.dtype == np.int64 and arr.ndim == 2 and arr.shape[1] == 2
+    return [PointRC(r, c) for r, c in arr.tolist()]
+
+
+_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(2, 12)),
+    st.tuples(st.integers(2, 12), st.just(1)),
+    st.tuples(st.integers(1, 24), st.integers(1, 24)),
+)
+_KINDS = ("ties", "constant", "huge", "signed-zero", "normal")
+
+
+def kind_map(rng, shape, kind):
+    """A test map: few distinct values, one value, values near +-1e30, +-0.0, or noise."""
+    if kind == "ties":
+        vals = rng.integers(0, 3, shape)
+    elif kind == "constant":
+        vals = np.full(shape, rng.choice([0.0, -0.0, 0.25, -1.0]))
+    elif kind == "huge":
+        vals = rng.choice([-1.0, 1.0], shape) * 1e30 * rng.choice([1.0, 1.0 + 2**-20, 3.0], shape)
+    elif kind == "signed-zero":
+        vals = rng.choice([0.0, -0.0, 1.0], shape)
+    else:
+        vals = rng.standard_normal(shape)
+    return ScalarMap(np.asarray(vals, dtype=np.float32))
 
 
 def scalar(arr):
@@ -72,7 +230,7 @@ def hot_map(h, w, hot_pixels, hot=1.0, cold=0.0):
 class TestComplexity:
     def test_single_hot_pixel_in_ten_frame(self):
         m = hot_map(10, 10, [(4, 4)])
-        score = complexity(m, 0.5)
+        score = complexity(m.values >= 0.5)
         assert score.area == 1 and score.perimeter == 4
         assert score.area_norm == pytest.approx(0.01)
         assert score.perimeter_norm == pytest.approx(0.1)
@@ -80,26 +238,26 @@ class TestComplexity:
 
     def test_full_frame(self):
         m = scalar(np.ones((6, 6)))
-        score = complexity(m, 0.5)
+        score = complexity(m.values >= 0.5)
         assert score.area_norm == pytest.approx(1.0)
 
     def test_bigger_square_scores_higher(self):
         small = hot_map(10, 10, [(y, x) for y in (4, 5) for x in (4, 5)])
         big = hot_map(10, 10, [(y, x) for y in range(3, 7) for x in range(3, 7)])
-        assert complexity(big, 0.5).c > complexity(small, 0.5).c
+        assert complexity(big.values >= 0.5).c > complexity(small.values >= 0.5).c
 
     def test_nested_solid_squares_are_monotone(self):
         prev = None
         for k in range(1, 8):
             m = hot_map(12, 12, [(y, x) for y in range(2, 2 + k) for x in range(2, 2 + k)])
-            c = complexity(m, 0.5).c
+            c = complexity(m.values >= 0.5).c
             if prev is not None:
                 assert c > prev
             prev = c
 
     def test_empty_binarization_guard(self):
         with pytest.raises(EmptyCandidateError):
-            complexity(scalar(np.zeros((4, 4))), 1.0)
+            complexity(np.zeros((4, 4), dtype=bool))
 
 
 class TestAdaptiveK:
@@ -130,16 +288,16 @@ class TestKMeans:
     def test_single_cluster_returns_nearest_to_centroid(self):
         points = [PointRC(0, 0), PointRC(0, 4), PointRC(4, 0), PointRC(4, 4), PointRC(2, 1)]
         # centroid = (2.0, 1.8); nearest candidate is (2, 1)
-        assert kmeans(points, 1, 0) == [PointRC(2, 1)]
+        assert kmeans(points, 1, 0).tolist() == [[2, 1]]
 
     def test_k_equals_point_count_returns_the_points(self):
         points = [PointRC(0, 0), PointRC(3, 7), PointRC(9, 2)]
         for seed in range(5):
-            assert set(kmeans(points, 3, seed)) == set(points)
+            assert set(as_points(kmeans(points, 3, seed))) == set(points)
 
     def test_k_reduced_to_distinct_count(self):
         points = [PointRC(1, 1), PointRC(1, 1), PointRC(5, 5)]
-        out = kmeans(points, 3, 0)
+        out = as_points(kmeans(points, 3, 0))
         assert set(out) == {PointRC(1, 1), PointRC(5, 5)}
 
     def test_two_blobs_get_one_point_each(self):
@@ -148,7 +306,7 @@ class TestKMeans:
         blob_b = [PointRC(50 + int(dy), 50 + int(dx)) for dy, dx in rng.integers(-1, 2, (6, 2))]
         points = blob_a + blob_b
         for seed in range(10):
-            out = kmeans(points, 2, seed)
+            out = as_points(kmeans(points, 2, seed))
             assert len(out) == 2
             near_a = [p for p in out if abs(p.row - 5) <= 1 and abs(p.col - 5) <= 1]
             near_b = [p for p in out if abs(p.row - 50) <= 1 and abs(p.col - 50) <= 1]
@@ -160,7 +318,7 @@ class TestKMeans:
         pts = [(int(y), int(x)) for y, x in rng.integers(0, 12, (10, 2))]
         pts = list(dict.fromkeys(pts))  # dedupe, keep order
         coords = np.asarray(pts, dtype=np.float64)
-        centers, labels, _, wcss_final = lloyd_cluster(coords, 2, seed)
+        centers, labels, _, _, wcss_final = lloyd_cluster(coords, 2, seed)
         best = two_means_oracle(pts)
         # Lloyd can stop in a local optimum; on these fixtures it rarely does
         assert wcss_final <= best + 1e-6 or wcss_final == pytest.approx(best, rel=1e-9) or (
@@ -174,14 +332,14 @@ class TestKMeans:
         coords = rng.integers(0, 20, (n, 2)).astype(np.float64)
         coords = np.unique(coords, axis=0)
         k = int(rng.integers(1, len(coords) + 1))
-        _, _, wcss0, wcss1 = lloyd_cluster(coords, k, seed)
+        _, _, _, wcss0, wcss1 = lloyd_cluster(coords, k, seed)
         assert wcss1 <= wcss0 + 1e-9
 
     def test_results_are_candidates(self):
         rng = np.random.default_rng(77)
         points = [PointRC(int(y), int(x)) for y, x in rng.integers(0, 30, (40, 2))]
         points = list(dict.fromkeys(points))
-        out = kmeans(points, 5, 3)
+        out = as_points(kmeans(points, 5, 3))
         assert all(p in points for p in out)
 
     def test_empty_candidates(self):
@@ -191,9 +349,9 @@ class TestKMeans:
             lloyd_cluster(np.empty((0, 2)), 1, 0)
 
     def test_bad_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             kmeans([PointRC(0, 0)], 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             lloyd_cluster(np.array([[0.0, 0.0]]), 2, 0)
 
     def test_stacked_init_centers_trigger_relocation(self, monkeypatch):
@@ -205,7 +363,7 @@ class TestKMeans:
             mp, "_kmeans_pp_init", lambda coords, k, rng: np.zeros((k, 2), dtype=np.float64)
         )
         coords = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
-        centers, labels, w0, w1 = lloyd_cluster(coords, 2, 0)
+        centers, labels, _, w0, w1 = lloyd_cluster(coords, 2, 0)
         assert w1 <= w0 + 1e-9
         assert sorted(set(labels.tolist())) == [0, 1]
         assert w1 == pytest.approx(0.5)  # {(0,0),(0,1)} vs {(5,5)}
@@ -253,18 +411,19 @@ class TestKMeans:
             want = lloyd_reference(coords, k, seed)
         assert np.array_equal(got[0], want[0]) and got[0].tobytes() == want[0].tobytes()
         assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2] and got[3] == want[3]
+        assert got[2].tobytes() == assign_reference(coords, want[0])[1].tobytes()
+        assert got[3] == want[2] and got[4] == want[3]
 
     def test_all_identical_points_stay_stable(self):
         coords = np.array([[3.0, 3.0], [3.0, 3.0]])
-        _, labels, w0, w1 = lloyd_cluster(coords, 2, 1)
+        _, labels, _, w0, w1 = lloyd_cluster(coords, 2, 1)
         assert w0 == w1 == 0.0
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
         points = [PointRC(int(y), int(x)) for y, x in rng.integers(0, 40, (25, 2))]
         points = list(dict.fromkeys(points))
-        assert kmeans(points, 4, 11) == kmeans(points, 4, 11)
+        assert np.array_equal(kmeans(points, 4, 11), kmeans(points, 4, 11))
 
 
 class TestPositivePrompts:
@@ -272,37 +431,33 @@ class TestPositivePrompts:
         cfg = PromptConfig(mmp=False, ump=True, np=False, seed=0)
         mean = scalar(np.zeros((6, 6)))
         uncert = scalar(np.zeros((6, 6)))
-        out, k, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 0)
+        mean_pts, unc_pts, k, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 0)
         assert (k, tau_mean, tau_uncert) == (0, None, 0.0)
-        assert len(out) == 2
-        assert all(p.source == UNCERTAINTY_TAG for p in out)
-        assert len({p.point for p in out}) == 2
+        assert mean_pts.shape == (0, 2)
+        assert len(set(as_points(unc_pts))) == 2
 
     def test_sharp_peak_centroids_stay_inside_candidates(self):
         peak = [(y, x) for y in range(4, 7) for x in range(4, 7)]
         mean = hot_map(12, 12, peak)
         uncert = scalar(np.zeros((12, 12)))
         cfg = PromptConfig(mmp=True, ump=False, np=False, seed=1)
-        out, _, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 1)
+        mean_pts, unc_pts, _, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 1)
         tau = percentile_threshold(mean, cfg.percentile)
         assert (tau_mean, tau_uncert) == (tau, None)
-        q_mean = set(extract_candidates(mean, tau, "mean"))
-        assert out and all(p.point in q_mean for p in out)
-        assert all(p.source == MEAN_TAG for p in out)
+        q_mean = set(as_points(extract_candidates(mean, tau, "mean")))
+        assert len(mean_pts) and set(as_points(mean_pts)) <= q_mean
+        assert unc_pts.shape == (0, 2)
 
     def test_disjoint_hot_regions_give_k_plus_two(self):
         mean = hot_map(20, 20, [(y, x) for y in range(2, 6) for x in range(2, 6)])
         uncert = hot_map(20, 20, [(y, x) for y in range(14, 18) for x in range(14, 18)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=3)
-        out, k_used, _, _ = positive_prompts(mean, uncert, cfg, 3)
-        k = sum(1 for p in out if p.source == MEAN_TAG)
-        u = sum(1 for p in out if p.source == UNCERTAINTY_TAG)
+        mean_pts, unc_pts, k_used, _, _ = positive_prompts(mean, uncert, cfg, 3)
         tau = percentile_threshold(mean, cfg.percentile)
-        expected_k = adaptive_k(complexity(mean, tau), cfg.gamma, cfg.n_min, cfg.n_max)
-        assert k == k_used == expected_k
-        assert u == 2
-        assert len(out) == k + 2
-        assert len({p.point for p in out}) == len(out)
+        expected_k = adaptive_k(complexity(mean.values >= tau), cfg.gamma, cfg.n_min, cfg.n_max)
+        assert len(mean_pts) == k_used == expected_k
+        assert len(unc_pts) == 2
+        assert len(set(as_points(mean_pts) + as_points(unc_pts))) == k_used + 2
 
     def test_both_paths_disabled(self):
         cfg = PromptConfig(mmp=False, ump=False, np=True)
@@ -310,8 +465,6 @@ class TestPositivePrompts:
             positive_prompts(scalar(np.zeros((4, 4))), scalar(np.zeros((4, 4))), cfg, 0)
 
     def test_map_shape_mismatch(self):
-        from maup.errors import ShapeError
-
         with pytest.raises(ShapeError):
             positive_prompts(scalar(np.zeros((4, 4))), scalar(np.zeros((5, 5))), PromptConfig(), 0)
 
@@ -321,20 +474,19 @@ class TestPositivePrompts:
         mean = hot_map(6, 6, hot)
         uncert = hot_map(6, 6, hot + [(5, 5)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=0)
-        out = positive_prompts(mean, uncert, cfg, 0)[0]
-        assert sum(1 for p in out if p.source == UNCERTAINTY_TAG) == 0
-        assert {p.point for p in out} == {PointRC(*p) for p in hot}
+        mean_pts, unc_pts = positive_prompts(mean, uncert, cfg, 0)[:2]
+        assert unc_pts.shape == (0, 2)
+        assert set(as_points(mean_pts)) == {PointRC(*p) for p in hot}
 
     def test_collision_fallback_is_deterministic(self):
         hot = [(0, 0), (0, 5), (5, 0)]
         mean = hot_map(6, 6, hot)
         uncert = hot_map(6, 6, hot + [(4, 4), (5, 5)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=9)
-        out1 = positive_prompts(mean, uncert, cfg, 9)[0]
-        out2 = positive_prompts(mean, uncert, cfg, 9)[0]
-        assert out1 == out2
-        ump_points = {p.point for p in out1 if p.source == UNCERTAINTY_TAG}
-        assert ump_points == {PointRC(4, 4), PointRC(5, 5)}
+        out1 = positive_prompts(mean, uncert, cfg, 9)[:2]
+        out2 = positive_prompts(mean, uncert, cfg, 9)[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(out1, out2))
+        assert set(as_points(out1[1])) == {PointRC(4, 4), PointRC(5, 5)}
 
     def test_heavy_collisions_always_land_on_free_candidates(self):
         # ten mean prompts occupy ten of twelve uncertainty candidates, so
@@ -346,10 +498,9 @@ class TestPositivePrompts:
         uncert = hot_map(12, 12, hot + [(p.row, p.col) for p in free])
         cfg = PromptConfig(mmp=True, ump=True, np=False, gamma=100.0, seed=0)
         for seed in range(200):
-            out = positive_prompts(mean, uncert, cfg, seed)[0]
-            assert sum(1 for p in out if p.source == MEAN_TAG) == 10
-            ump = {p.point for p in out if p.source == UNCERTAINTY_TAG}
-            assert ump == set(free)
+            mean_pts, unc_pts = positive_prompts(mean, uncert, cfg, seed)[:2]
+            assert len(mean_pts) == 10
+            assert set(as_points(unc_pts)) == set(free)
 
 
 class TestNegativePrompts:
@@ -359,7 +510,7 @@ class TestNegativePrompts:
         out, tau = negative_prompts(neg, positives, 3, 0)
         assert tau == 0.0
         assert len(out) == 3
-        assert not set(out) & set(positives)
+        assert not set(as_points(out)) & set(positives)
 
     def test_hot_ring_keeps_negatives_on_ring(self):
         yy, xx = np.ogrid[:16, :16]
@@ -369,7 +520,7 @@ class TestNegativePrompts:
         neg = ScalarMap(vals)
         out, _ = negative_prompts(neg, [PointRC(8, 8)], 3, 1)
         assert len(out) == 3
-        for p in out:
+        for p in as_points(out):
             assert ring[p.row, p.col]
 
     def test_positives_exhaust_candidates(self):
@@ -377,15 +528,13 @@ class TestNegativePrompts:
         vals[0, 0] = vals[0, 1] = 1.0
         neg = ScalarMap(vals)
         out, tau = negative_prompts(neg, [PointRC(0, 0), PointRC(0, 1)], 3, 0)
-        assert out == [] and tau == 1.0
+        assert as_points(out) == [] and tau == 1.0
 
     def test_bad_n_neg(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             negative_prompts(scalar(np.zeros((4, 4))), [], 0, 0)
 
     def test_prompt_set_rejects_overlap(self):
-        from maup.prompting import PromptPoint, PromptSet
-
         p = PointRC(1, 1)
         with pytest.raises(ValueError):
             PromptSet(
@@ -403,8 +552,8 @@ class TestNegativePrompts:
         out, tau_neg = negative_prompts(neg, positives, 3, 2)
         tau = percentile_threshold(neg, 95.0)
         assert tau_neg == tau
-        q_neg = set(extract_candidates(neg, tau, "negative"))
-        assert out and set(out) <= q_neg
+        q_neg = set(as_points(extract_candidates(neg, tau, "negative")))
+        assert len(out) and set(as_points(out)) <= q_neg
 
 
 class TestGeneratePrompts:
@@ -519,3 +668,126 @@ class TestComputedOnce:
 
     def test_one_complexity_score(self, monkeypatch):
         assert self.count_calls(monkeypatch, "complexity") == 1
+
+
+class TestListReference:
+    """The array code equals the list-based code it replaced, bit for bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 60),
+        k=st.integers(1, 12),
+        grid=st.integers(1, 40),
+        integer_centers=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_assign_matches_broadcast_formula(self, n, k, grid, integer_centers, seed):
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(0, grid, (n, 2)).astype(np.float64)
+        if integer_centers:
+            centers = rng.integers(0, grid, (k, 2)).astype(np.float64)
+        else:
+            centers = rng.uniform(-1, grid, (k, 2))
+        got_labels, got_d2 = mp._assign(coords, centers)
+        want_labels, want_d2 = assign_reference(coords, centers)
+        assert got_d2.shape == want_d2.shape and got_d2.tobytes() == want_d2.tobytes()
+        assert np.array_equal(got_labels, want_labels)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 50),
+        grid=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        k_extra=st.integers(0, 3),
+        k_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kmeans_matches_list_reference(self, n, grid, k_extra, k_share, seed):
+        # duplicate points allowed; k runs from 1 to a few past n
+        rng = np.random.default_rng(seed)
+        points = [PointRC(int(r), int(c)) for r, c in zip(*(rng.integers(0, g, n) for g in grid))]
+        k = 1 + int(k_share * (n - 1)) + k_extra
+        got = as_points(kmeans(np.array(points, dtype=np.int64), k, seed))
+        assert got == kmeans_reference(points, k, seed)
+        assert got == as_points(kmeans(points, k, seed))  # a PointRC list is accepted as well
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        shape=_SHAPES,
+        kinds=st.tuples(*[st.sampled_from(_KINDS)] * 3),
+        toggles=st.sampled_from([t for t in product((False, True), repeat=3) if t[0] or t[1]]),
+        pct=st.one_of(st.sampled_from([5.0, 50.0, 95.0, 99.0]), st.floats(0.001, 99.999)),
+        n_neg=st.integers(1, 40),
+        gamma=st.sampled_from([0.5, 5.0, 100.0]),
+        neg_present=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_select_prompts_matches_list_reference(
+        self, shape, kinds, toggles, pct, n_neg, gamma, neg_present, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mean, uncert, neg = (kind_map(rng, shape, kind) for kind in kinds)
+        mmp, ump, np_ = toggles
+        cfg = PromptConfig(
+            mmp=mmp, ump=ump, np=np_, percentile=pct, n_neg=n_neg, gamma=gamma, n_min=1,
+            n_max=12, seed=seed, scale=1,
+        )
+        neg = neg if neg_present else None
+        _, pos_seed, neg_seed = mp.episode_seed_streams(seed)
+        got = outcome(lambda: select_prompts(mean, uncert, neg, cfg, pos_seed, neg_seed))
+        want = outcome(lambda: select_reference(mean, uncert, neg, cfg, pos_seed, neg_seed))
+        assert got == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        shape=_SHAPES,
+        kind=st.sampled_from(_KINDS),
+        n_pos=st.integers(0, 8),
+        n_neg_share=st.floats(0.0, 1.0),
+        pct=st.floats(0.001, 99.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_negative_prompts_match_list_reference(
+        self, shape, kind, n_pos, n_neg_share, pct, seed
+    ):
+        # n_neg runs up to the candidate count; positives may repeat or leave the frame
+        rng = np.random.default_rng(seed)
+        neg = kind_map(rng, shape, kind)
+        rows, cols = (rng.integers(-1, side + 1, n_pos).tolist() for side in shape)
+        positives = [PointRC(r, c) for r, c in zip(rows, cols)]
+        n_cand = len(candidates_reference(neg, percentile_reference(neg, pct), "negative"))
+        n_neg = 1 + int(n_neg_share * n_cand)
+        got, tau = negative_prompts(neg, np.array(positives, dtype=np.int64), n_neg, seed, pct)
+        want, want_tau = negative_reference(neg, positives, n_neg, seed, pct)
+        assert as_points(got) == want
+        assert exact(tau) == exact(want_tau)
+
+
+class TestPointObjects:
+    def test_select_prompts_builds_points_only_for_its_prompts(self, monkeypatch):
+        # candidates, clusters and draws stay arrays: the only PointRC objects
+        # are the ones the PromptSet carries (wherever a module builds them)
+        import maup.simmaps
+
+        built = []
+
+        class CountingPointRC(PointRC):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        rng = np.random.default_rng(0)
+        yy, xx = np.mgrid[:64, :64]
+        blob = np.exp(-((yy - 20) ** 2 + (xx - 30) ** 2) / 200.0)
+        mean = ScalarMap(blob + rng.random((64, 64)) * 0.01)
+        uncert = ScalarMap(rng.random((64, 64)) * 0.1)
+        neg = ScalarMap(rng.random((64, 64)))
+        cfg = PromptConfig(seed=4, scale=1, percentile=50.0)
+        _, pos_seed, neg_seed = mp.episode_seed_streams(cfg.seed)
+        want = select_prompts(mean, uncert, neg, cfg, pos_seed, neg_seed)
+        for module in (mp, maup.simmaps):
+            monkeypatch.setattr(module, "PointRC", CountingPointRC, raising=False)
+        got = select_prompts(mean, uncert, neg, cfg, pos_seed, neg_seed)
+        assert got == want and got.negatives and len(got.positives) == want.k_used + 2
+        assert len(built) <= len(got.positives) + len(got.negatives)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maup.errors import EmptyCandidateError, EmptyStackError, ShapeError
+from maup.errors import ConfigError, EmptyCandidateError, EmptyStackError, ShapeError
 from maup.simmaps import (
     cosine_map,
     extract_candidates,
@@ -18,7 +18,13 @@ from maup.simmaps import (
 )
 from maup.tensors import FeatureMap, PointRC, ScalarMap
 
-from oracles import cosine_oracle, mean_oracle, percentile_oracle, variance_oracle
+from oracles import (
+    candidates_oracle,
+    cosine_oracle,
+    mean_oracle,
+    percentile_oracle,
+    variance_oracle,
+)
 
 
 def random_features(seed, c=16, h=8, w=8):
@@ -271,8 +277,31 @@ class TestPercentile:
     @pytest.mark.parametrize("pct", [0.0, 100.0, -3.0, 120.0])
     def test_out_of_range_pct(self, pct):
         m = ScalarMap(np.zeros((2, 2), dtype=np.float32))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             percentile_threshold(m, pct)
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        values=st.sampled_from(["ties", "signed-zero", "huge", "normal"]),
+        pct=st.one_of(
+            st.sampled_from([1e-9, 5.0, 25.0, 50.0, 95.0, 99.0, 100.0 - 1e-12]),
+            st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_equal_np_percentile(self, shape, values, pct, seed):
+        # the partition must land on numpy's order statistics, signed zeros included
+        rng = np.random.default_rng(seed)
+        vals = {
+            "ties": lambda: rng.integers(0, 3, shape),
+            "signed-zero": lambda: rng.choice([0.0, -0.0, 1.0, -1.0], shape),
+            "huge": lambda: rng.choice([-1.0, 1.0], shape) * 1e30 * (1.0 + rng.random(shape)),
+            "normal": lambda: rng.standard_normal(shape),
+        }[values]()
+        m = ScalarMap(np.asarray(vals, dtype=np.float32))
+        want = float(np.percentile(m.values.astype(np.float64), pct))
+        assert np.float64(percentile_threshold(m, pct)).tobytes() == np.float64(want).tobytes()
 
 
 class TestExtractCandidates:
@@ -286,12 +315,34 @@ class TestExtractCandidates:
         vals = np.zeros((3, 3), dtype=np.float32)
         vals[1, 2] = vals[2, 0] = 5.0
         cands = extract_candidates(ScalarMap(vals), 5.0, "mean")
-        assert set(cands) == {PointRC(1, 2), PointRC(2, 0)}
+        assert {PointRC(*p) for p in cands.tolist()} == {PointRC(1, 2), PointRC(2, 0)}
 
     def test_row_major_order(self):
         vals = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.float32)
         cands = extract_candidates(ScalarMap(vals), 1.0, "mean")
-        assert cands == [PointRC(0, 0), PointRC(1, 0), PointRC(1, 1)]
+        assert cands.dtype == np.int64 and cands.tolist() == [[0, 0], [1, 0], [1, 1]]
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        levels=st.integers(1, 4),
+        tau_pick=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_major_pixel_loop(self, shape, levels, tau_pick, seed):
+        # float32 values against a float64 tau just above or below one of them
+        rng = np.random.default_rng(seed)
+        m = ScalarMap((rng.integers(0, levels, shape) * 0.1).astype(np.float32))
+        level = float(m.values.ravel()[rng.integers(m.values.size)])
+        tau = [level, np.nextafter(level, np.inf), np.nextafter(level, -np.inf), 0.1][tau_pick]
+        want = candidates_oracle(m.values, tau)
+        if not want:
+            with pytest.raises(EmptyCandidateError):
+                extract_candidates(m, tau, "mean")
+            return
+        got = extract_candidates(m, tau, "mean")
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert [tuple(p) for p in got.tolist()] == want
 
     def test_about_five_percent_pass_the_95th(self):
         rng = np.random.default_rng(42)
@@ -313,9 +364,10 @@ class TestExtractCandidates:
         for pct in (50.0, 75.0, 90.0, 99.0):
             cands = extract_candidates(m, percentile_threshold(m, pct), "mean")
             assert len(cands) >= 1
+            cands = {PointRC(*p) for p in cands.tolist()}
             if previous is not None:
-                assert set(cands) <= previous
-            previous = set(cands)
+                assert cands <= previous
+            previous = cands
 
 
 class TestPgmExport:
