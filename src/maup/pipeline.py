@@ -25,7 +25,7 @@ from .prompting import (
     episode_seed_streams,
     select_prompts,
 )
-from .prototypes import periphery_prototype, regional_prototypes
+from .prototypes import regional_prototypes
 from .regions import (
     StructuringElement,
     farthest_point_seeds,
@@ -98,13 +98,12 @@ def _prepare(features: FeatureMap, mask: BitMask, cfg: PromptConfig, fps_seed) -
         raise EmptyMaskError("RPG: empty foreground")
     seeds = farthest_point_seeds(mask, min(cfg.n_regions, fg), fps_seed)
     labels = voronoi_partition(mask, seeds)
-    protos = regional_prototypes(features, labels)
-    return Support(labels, protos, _periphery_row(features, mask, cfg.radius) if cfg.np else None)
-
-
-def _periphery_row(features: FeatureMap, mask: BitMask, radius: int) -> np.ndarray | None:
-    band = periphery_mask(mask, StructuringElement.disk(radius))
-    return periphery_prototype(features, band) if band.foreground_count > 0 else None
+    if not cfg.np:
+        return Support(labels, regional_prototypes(features, labels), None)
+    # the band (dilation minus support) never meets the foreground: pool it as label P
+    band = periphery_mask(mask, StructuringElement.disk(cfg.radius)).bits == 1
+    rows = regional_prototypes(features, np.where(band, len(seeds), labels))
+    return Support(labels, rows[: len(seeds)], rows[-1] if len(rows) > len(seeds) else None)
 
 
 def query_maps(
@@ -295,28 +294,27 @@ def _failed(cells, e: MaupError) -> list[AblationRow]:
 
 
 def _score_group(ph: Phantom, cells, streams, threshold: float) -> list[AblationRow]:
-    """Score the cells of one (family, n_f, seed) from one support.
+    """Score the cells of one (family, n_f, seed) from one support, pooled once.
 
-    The negative-path-off cells are finished before the periphery row and
-    the negative-path-on product are computed, so one stack is alive at a time.
+    With any negative-path-on cell the periphery band is pooled with the
+    regions. The negative-path-off cells see the support without its row and
+    are finished first, so one stack is alive at a time.
     """
     fps_seed, pos_seed, neg_seed = streams
-    cfg = cells[0][1]
-    try:
-        support = _prepare(ph.support_features, ph.support_mask, replace(cfg, np=False), fps_seed)
-    except MaupError as e:
-        return _failed(cells, e)
-    rows = []
     off = [c for c in cells if not c[1].np]
     on = [c for c in cells if c[1].np]
+    try:
+        support = _prepare(ph.support_features, ph.support_mask, replace(cells[0][1], np=bool(on)), fps_seed)
+    except MaupError as e:
+        if not (on and off):
+            return _failed(cells, e)
+        # the failure may be the band's, which fails only the negative-path-on cells
+        return _failed(on, e) + _score_group(ph, off, streams, threshold)
+    rows = []
     if off:
-        rows += _score_cells(ph, support, off, pos_seed, neg_seed, threshold)
+        rows += _score_cells(ph, support._replace(periphery=None), off, pos_seed, neg_seed, threshold)
     if on:
-        try:
-            periphery = _periphery_row(ph.support_features, ph.support_mask, cfg.radius)
-        except MaupError as e:
-            return rows + _failed(on, e)
-        rows += _score_cells(ph, support._replace(periphery=periphery), on, pos_seed, neg_seed, threshold)
+        rows += _score_cells(ph, support, on, pos_seed, neg_seed, threshold)
     return rows
 
 

@@ -14,34 +14,33 @@ from .errors import EmptyMaskError, EmptyPeripheryError, ShapeError
 from .tensors import BitMask, FeatureMap
 
 
-def _pool(f: FeatureMap, sel: np.ndarray) -> np.ndarray:
-    """Mean feature vector over the pixels where the boolean H x W ``sel`` is set."""
-    count = int(sel.sum())
-    if count == 0:
-        raise EmptyMaskError("masked average pool over an empty mask")
-    flat = f.data.reshape(f.channels, -1)
-    return flat[:, sel.reshape(-1)].sum(axis=1, dtype=np.float64) / count
-
-
 def masked_average_pool(f: FeatureMap, m: BitMask) -> np.ndarray:
     """Mean feature vector over the pixels where the mask is set."""
     if (f.height, f.width) != (m.height, m.width):
-        raise ShapeError(
-            f"feature map is {f.height}x{f.width} but mask is {m.height}x{m.width}"
-        )
-    return _pool(f, m.bits.astype(bool))
+        raise ShapeError(f"feature map is {f.height}x{f.width} but mask is {m.height}x{m.width}")
+    return regional_prototypes(f, m.bits.astype(np.int64) - 1)[0]
 
 
 def regional_prototypes(f_s: FeatureMap, labels: np.ndarray) -> np.ndarray:
     """P x C matrix whose row k pools the pixels labelled k, for k in [0, max label].
 
-    ``labels`` is a label map from :func:`voronoi_partition`; an empty label
-    raises EmptyMaskError.
+    ``labels`` is a label map from :func:`voronoi_partition`; negative labels are
+    left out and an empty label raises EmptyMaskError. One stable sort of the
+    labels and one gather serve every row, each label a block in row-major order.
     """
     if labels.shape != (f_s.height, f_s.width):
         raise ShapeError(f"feature map is {f_s.height}x{f_s.width} but labels are {labels.shape}")
-    n = max(int(labels.max()), 0) + 1
-    return np.stack([_pool(f_s, labels == k) for k in range(n)])
+    flat_labels = labels.ravel()
+    counts = np.bincount(flat_labels[flat_labels >= 0], minlength=1)
+    if not counts.all():
+        raise EmptyMaskError("masked average pool over an empty mask")
+    order = np.argsort(flat_labels, kind="stable")[flat_labels.size - int(counts.sum()) :]
+    # fancy indexing returns the gather F-ordered: each block sums as a boolean-mask gather would
+    gathered = f_s.data.reshape(f_s.channels, -1)[:, order]
+    out, bounds = np.empty((len(counts), f_s.channels)), [0, *np.cumsum(counts).tolist()]
+    for k in range(len(counts)):
+        gathered[:, bounds[k] : bounds[k + 1]].sum(axis=1, dtype=np.float64, out=out[k])
+    return np.divide(out, counts[:, None], out=out)
 
 
 def periphery_prototype(f_s: FeatureMap, periphery: BitMask) -> np.ndarray:

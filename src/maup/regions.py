@@ -10,10 +10,11 @@ structuring element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import EmptyMaskError, SeedError
+from .errors import ConfigError, EmptyMaskError, SeedError
 from .tensors import BitMask, PointRC
 
 
@@ -26,24 +27,32 @@ class StructuringElement:
 
     def __post_init__(self):
         if self.radius < 1:
-            raise ValueError(f"radius must be >= 1, got {self.radius}")
+            raise ConfigError(f"radius must be >= 1, got {self.radius}")
         if not self.offsets:
             r = self.radius
-            offs = tuple(
-                (dy, dx)
-                for dy in range(-r, r + 1)
-                for dx in range(-r, r + 1)
-                if dy * dy + dx * dx <= r * r
-            )
+            span = range(-r, r + 1)
+            offs = tuple((dy, dx) for dy in span for dx in span if dy * dy + dx * dx <= r * r)
             object.__setattr__(self, "offsets", offs)
         if (0, 0) not in self.offsets:
-            raise ValueError("structuring element must contain (0, 0)")
+            raise ConfigError("structuring element must contain (0, 0)")
         if set(self.offsets) != {(-dy, -dx) for dy, dx in self.offsets}:
-            raise ValueError("structuring element offsets must be symmetric")
+            raise ConfigError("structuring element offsets must be symmetric")
 
     @classmethod
+    @cache  # one element per radius
     def disk(cls, radius: int) -> "StructuringElement":
         return cls(radius=radius)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
+        """(dxs, dys) pairs: each distinct set of dx and the dy values whose offsets use it."""
+        by_dy: dict[int, set[int]] = {}
+        for dy, dx in self.offsets:
+            by_dy.setdefault(dy, set()).add(dx)
+        by_dxs: dict[frozenset[int], tuple[int, ...]] = {}
+        for dy, dxs in by_dy.items():
+            by_dxs[frozenset(dxs)] = by_dxs.get(frozenset(dxs), ()) + (dy,)
+        return tuple(by_dxs.items())
 
 
 def farthest_point_seeds(fg: BitMask, n: int, seed) -> list[PointRC]:
@@ -54,7 +63,7 @@ def farthest_point_seeds(fg: BitMask, n: int, seed) -> list[PointRC]:
     toward the smallest (row, col). Returns min(n, foreground size) points.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ConfigError(f"need n >= 1, got {n}")
     coords = np.argwhere(fg.bits == 1)
     if len(coords) == 0:
         raise EmptyMaskError("cannot place seeds on an empty foreground")
@@ -96,27 +105,22 @@ def voronoi_partition(fg: BitMask, seeds: list[PointRC]) -> np.ndarray:
 def dilate(m: BitMask, se: StructuringElement) -> BitMask:
     """Morphological dilation: out(y,x) = 1 iff some offset hits a set pixel.
 
-    Reads outside the frame count as 0, so the output never wraps. Offsets
-    are grouped by ``dy``: each distinct set of horizontal shifts is ORed
-    once, then shifted vertically once per ``dy`` that uses it.
+    Reads outside the frame count as 0, so the output never wraps. Each
+    distinct set of horizontal shifts in ``se.rows`` is ORed once, then
+    shifted vertically once per ``dy`` that uses it.
     """
     h, w = m.height, m.width
-    rows: dict[int, set[int]] = {}
-    for dy, dx in se.offsets:
-        rows.setdefault(dy, set()).add(dx)
-    bands: dict[frozenset[int], np.ndarray] = {}
     out = np.zeros_like(m.bits)
-    for dy, dxs in rows.items():
-        key = frozenset(dxs)
-        if key not in bands:
-            band = bands[key] = np.zeros_like(m.bits)
-            for dx in key:
-                x0, x1 = max(0, dx), w + min(0, dx)
-                if x0 < x1:
-                    band[:, x0:x1] |= m.bits[:, x0 - dx : x1 - dx]
-        y0, y1 = max(0, dy), h + min(0, dy)
-        if y0 < y1:
-            out[y0:y1] |= bands[key][y0 - dy : y1 - dy]
+    for dxs, dys in se.rows:
+        band = np.zeros_like(m.bits)
+        for dx in dxs:
+            x0, x1 = max(0, dx), w + min(0, dx)
+            if x0 < x1:
+                band[:, x0:x1] |= m.bits[:, x0 - dx : x1 - dx]
+        for dy in dys:
+            y0, y1 = max(0, dy), h + min(0, dy)
+            if y0 < y1:
+                out[y0:y1] |= band[y0 - dy : y1 - dy]
     return BitMask(out)
 
 
@@ -126,8 +130,7 @@ def periphery_mask(support: BitMask, se: StructuringElement) -> BitMask:
     May be empty when the support covers the whole frame; callers decide how
     to handle that (negative prompting is disabled downstream).
     """
-    grown = dilate(support, se)
-    return BitMask(grown.bits & (1 - support.bits))
+    return BitMask(dilate(support, se).bits & (1 - support.bits))
 
 
 def area_and_perimeter(m: BitMask) -> tuple[int, int]:

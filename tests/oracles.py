@@ -25,6 +25,23 @@ def pool_oracle(data, bits):
     return out
 
 
+def pool_reference(data, labels):
+    """Regional prototypes as first written: one boolean-mask gather and sum per label.
+
+    Row k is the float64 mean of the C x H x W ``data`` over the pixels
+    labelled k, for k in [0, max label]. Its summation order is the one the
+    library promises, so results compare by their bytes.
+    """
+    import numpy as np
+
+    flat = data.reshape(data.shape[0], -1)
+    rows = []
+    for k in range(max(int(labels.max()), 0) + 1):
+        sel = (labels == k).reshape(-1)
+        rows.append(flat[:, sel].sum(axis=1, dtype=np.float64) / int(sel.sum()))
+    return np.stack(rows)
+
+
 def cosine_oracle(data, proto):
     """Per-pixel cosine similarity with scalar loops over channels."""
     c, h, w = data.shape

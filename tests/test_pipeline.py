@@ -12,6 +12,7 @@ from scipy import ndimage
 
 import maup.pipeline as pl
 import maup.prompting as mp
+import maup.prototypes as pp
 from maup.errors import ConfigError, EmptyMaskError, MaupError, ShapeError, SpecError
 from maup.phantom import FAMILIES, PhantomSpec, generate_phantom
 from maup.pipeline import (
@@ -51,8 +52,9 @@ PAPER_SCALE_GOLDEN = {
 def reference_episode(support_features, support_mask, query_features, cfg):
     """``execute_episode`` as it was before the support/query split, every stage inline.
 
-    Stages are looked up on ``maup.pipeline`` so a test that substitutes one
-    substitutes it here too.
+    Stages that ``maup.pipeline`` calls are looked up on it, so a test that
+    substitutes one substitutes it here too; the periphery row is pooled on
+    its own with :func:`maup.prototypes.periphery_prototype`.
     """
     if (support_features.height, support_features.width) != (
         support_mask.height,
@@ -71,7 +73,7 @@ def reference_episode(support_features, support_mask, query_features, cfg):
     if cfg.np:
         band = pl.periphery_mask(support_mask, pl.StructuringElement.disk(cfg.radius))
         if band.foreground_count > 0:
-            protos = np.vstack([protos, pl.periphery_prototype(support_features, band)])
+            protos = np.vstack([protos, pp.periphery_prototype(support_features, band)])
     stack = pl.similarity_stack(query_features, protos)
     regional = stack[: len(seeds)]
     mean = pl.mean_map(regional)
@@ -757,6 +759,39 @@ def phantom_dice(spec: PhantomSpec, cfg: PromptConfig, threshold: float = 0.5) -
     res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
     export = build_export(res.prompts, res.n_regions, ph.query_features.height, ph.query_features.width)
     return dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
+
+
+class TestPoolingCalls:
+    """Every prototype of a support, the periphery row included, comes from one pooling call."""
+
+    def count_pools(self, monkeypatch):
+        """Count calls of every pooling entry point, on maup.pipeline and on maup.prototypes."""
+        counts = {}
+        for name in ("regional_prototypes", "periphery_prototype", "masked_average_pool"):
+            real = getattr(pp, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(pp, name, counted)
+            monkeypatch.setattr(pl, name, counted, raising=False)
+        return counts
+
+    def test_one_pool_per_episode_with_the_negative_path(self, monkeypatch):
+        counts = self.count_pools(monkeypatch)
+        ph = generate_phantom(PhantomSpec(family="disk", contrast=0.4, noise=0.1, seed=2))
+        res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, PromptConfig(seed=2))
+        assert res.negative is not None
+        assert counts == {"regional_prototypes": 1, "periphery_prototype": 0, "masked_average_pool": 0}
+
+    def test_one_pool_per_family_nf_and_seed(self, monkeypatch):
+        counts = self.count_pools(monkeypatch)
+        families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
+        report = ablation_run(families, SWEEP_TOGGLES, nf_values=[1, 5, 15, 30, 60], seeds=[0])
+        assert len(report.rows) == 60 and all(r.status == "ok" for r in report.rows)
+        assert counts == {"regional_prototypes": 20, "periphery_prototype": 0, "masked_average_pool": 0}
 
 
 class TestEndToEnd:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maup.errors import EmptyMaskError, EmptyPeripheryError, ShapeError
+from maup.pipeline import prepare_support
+from maup.prompting import PromptConfig
 from maup.prototypes import masked_average_pool, periphery_prototype, regional_prototypes
 from maup.regions import StructuringElement, farthest_point_seeds, periphery_mask, voronoi_partition
 from maup.tensors import BitMask, FeatureMap
 
-from oracles import pool_oracle
+from oracles import pool_oracle, pool_reference
 
 
 def random_case(seed, c=8, h=16, w=16, density=0.3):
@@ -137,3 +141,79 @@ class TestPeripheryPrototype:
         f = FeatureMap(np.zeros((1, 3, 3), dtype=np.float32))
         with pytest.raises(EmptyPeripheryError):
             periphery_prototype(f, BitMask(np.zeros((3, 3), dtype=np.uint8)))
+
+
+def spread_features(rng, c, h, w):
+    """Float32 features with channel scales from 1e-30 to 1e30 and pixels spread over
+    twelve decades within a channel, so float64 sums round and their order shows in the bits."""
+    scale = 10.0 ** rng.uniform(-30, 30, size=(c, 1, 1))
+    spread = 10.0 ** rng.uniform(-6, 6, size=(c, h, w))
+    return FeatureMap((rng.standard_normal((c, h, w)) * scale * spread).astype(np.float32))
+
+
+def assert_pools_bit_exact(f, labels):
+    want = pool_reference(f.data, labels)
+    assert regional_prototypes(f, labels).tobytes() == want.tobytes()
+    for k in range(len(want)):
+        assert masked_average_pool(f, BitMask(labels == k)).tobytes() == want[k].tobytes()
+
+
+class TestBitExactPooling:
+    """One sort and one gather give every row the bytes of a per-label boolean-mask pool."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        n_labels=st.integers(1, 12),
+        holes=st.sampled_from([0.0, 0.3, 0.9]),
+        channels=st.integers(1, 24),
+    )
+    @example(seed=1, shape=(1, 37), n_labels=5, holes=0.3, channels=7)
+    @example(seed=2, shape=(29, 1), n_labels=5, holes=0.3, channels=7)
+    @example(seed=3, shape=(1, 1), n_labels=1, holes=0.0, channels=1)
+    def test_random_label_maps_with_holes(self, seed, shape, n_labels, holes, channels):
+        h, w = shape
+        rng = np.random.default_rng(seed)
+        n_labels = min(n_labels, h * w)
+        labels = rng.integers(0, n_labels, size=(h, w))
+        labels[rng.random((h, w)) < holes] = -1
+        labels.ravel()[rng.permutation(h * w)[:n_labels]] = np.arange(n_labels)  # every label occurs
+        assert_pools_bit_exact(spread_features(rng, channels, h, w), labels)
+
+    def test_label_past_the_reduction_buffer(self):
+        # label 0 holds 16,351 pixels, twice numpy's 8,192-element reduction buffer
+        rng = np.random.default_rng(5)
+        labels = np.zeros((130, 130), dtype=np.int64)
+        others = rng.permutation(130 * 130)[:549]
+        labels.ravel()[others] = np.repeat([-1, 1, 2], 183)
+        assert int((labels == 0).sum()) == 16351
+        assert_pools_bit_exact(spread_features(rng, 3, 130, 130), labels)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        n_regions=st.integers(1, 40),
+        radius=st.integers(1, 6),
+    )
+    @example(seed=4, shape=(1, 20), n_regions=3, radius=2)
+    @example(seed=5, shape=(20, 1), n_regions=3, radius=2)
+    def test_band_pooled_as_label_p(self, seed, shape, n_regions, radius):
+        rng = np.random.default_rng(seed)
+        bits = (rng.random(shape) < 0.4).astype(np.uint8)
+        bits.ravel()[rng.integers(bits.size)] = 1
+        mask, f = BitMask(bits), spread_features(rng, 5, *shape)
+        labels = voronoi_partition(mask, farthest_point_seeds(mask, min(n_regions, int(bits.sum())), seed))
+        band = periphery_mask(mask, StructuringElement.disk(radius))
+        p = int(labels.max()) + 1
+        assert_pools_bit_exact(f, np.where(band.bits == 1, p, labels))
+
+        support = prepare_support(f, mask, PromptConfig(n_regions=n_regions, seed=seed, radius=radius))
+        assert support.protos.tobytes() == pool_reference(f.data, support.labels).tobytes()
+        if band.foreground_count:
+            want = pool_reference(f.data, band.bits.astype(np.int64) - 1)[0]
+            assert support.periphery.tobytes() == want.tobytes()
+            assert periphery_prototype(f, band).tobytes() == want.tobytes()
+        else:
+            assert support.periphery is None

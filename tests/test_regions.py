@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maup.errors import EmptyMaskError, SeedError
+from maup.errors import ConfigError, EmptyMaskError, SeedError
 from maup.regions import (
     StructuringElement,
     area_and_perimeter,
@@ -59,16 +59,27 @@ class TestStructuringElement:
         assert (0, 0) in se.offsets
         assert set(se.offsets) == {(-dy, -dx) for dy, dx in se.offsets}
 
+    def test_disk_built_once_per_radius(self):
+        assert StructuringElement.disk(5) is StructuringElement.disk(5)
+        assert StructuringElement.disk(4) is not StructuringElement.disk(5)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_rows_regroup_every_offset(self, r):
+        se = StructuringElement.disk(r)
+        regrouped = [(dy, dx) for dxs, dys in se.rows for dy in dys for dx in dxs]
+        assert sorted(regrouped) == sorted(se.offsets)
+        assert len({dxs for dxs, _ in se.rows}) == len(se.rows)  # each set of shifts once
+
     def test_bad_radius(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             StructuringElement.disk(0)
 
     def test_custom_offsets_must_contain_origin(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             StructuringElement(radius=1, offsets=((0, 1), (0, -1)))
 
     def test_custom_offsets_must_be_symmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             StructuringElement(radius=1, offsets=((0, 0), (0, 1)))
 
 
@@ -184,7 +195,7 @@ class TestVoronoiPartition:
             voronoi_partition(BitMask(np.ones((2, 2), dtype=np.uint8)), [])
 
     def test_fps_bad_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             farthest_point_seeds(BitMask(np.ones((2, 2), dtype=np.uint8)), 0, 0)
 
 
