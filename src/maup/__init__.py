@@ -10,6 +10,7 @@ from .errors import (
     EmptyStackError,
     FormatError,
     MaupError,
+    OverlapError,
     SeedError,
     ShapeError,
     SpecError,

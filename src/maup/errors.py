@@ -41,6 +41,10 @@ class ClusterError(MaupError):
     """K-means broke its own invariant (its objective increased)."""
 
 
+class OverlapError(MaupError):
+    """A positive and a negative prompt share a pixel."""
+
+
 class ConfigError(MaupError):
     """Prompt configuration is unusable (e.g. every prompting path disabled)."""
 

@@ -23,6 +23,7 @@ from .prompting import (
     PromptConfig,
     PromptSet,
     episode_seed_streams,
+    positive_prompts,
     select_prompts,
 )
 from .prototypes import regional_prototypes
@@ -42,7 +43,7 @@ from .surrogate import (  # to_grid_point and to_image_xy: re-exported for pipel
     to_grid_point,
     to_image_xy,
 )
-from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor, save_tensor
+from .tensors import BitMask, FeatureMap, PointRC, ScalarMap, load_tensor, save_tensor
 
 
 @dataclass(frozen=True)
@@ -87,22 +88,26 @@ def prepare_support(
     pools the periphery band of radius ``cfg.radius``.
     """
     fps_seed, _, _ = episode_seed_streams(cfg.seed)
-    return _prepare(support_features, support_mask, cfg, fps_seed)
+    seeds = _seeds(support_features, support_mask, cfg.n_regions, fps_seed)
+    band = periphery_mask(support_mask, StructuringElement.disk(cfg.radius)) if cfg.np else None
+    return _prepare(support_features, support_mask, seeds, band)
 
 
-def _prepare(features: FeatureMap, mask: BitMask, cfg: PromptConfig, fps_seed) -> Support:
+def _seeds(features: FeatureMap, mask: BitMask, n: int, fps_seed) -> list[PointRC]:
+    """Farthest-point seeds for n regions (fewer on a smaller foreground) of a checked support."""
     if (features.height, features.width) != (mask.height, mask.width):
         raise ShapeError("support features and support mask disagree on H x W")
-    fg = mask.foreground_count
-    if fg == 0:
+    if mask.foreground_count == 0:
         raise EmptyMaskError("RPG: empty foreground")
-    seeds = farthest_point_seeds(mask, min(cfg.n_regions, fg), fps_seed)
+    return farthest_point_seeds(mask, n, fps_seed)
+
+
+def _prepare(features: FeatureMap, mask: BitMask, seeds: list[PointRC], band: BitMask | None) -> Support:
     labels = voronoi_partition(mask, seeds)
-    if not cfg.np:
+    if band is None:
         return Support(labels, regional_prototypes(features, labels), None)
     # the band (dilation minus support) never meets the foreground: pool it as label P
-    band = periphery_mask(mask, StructuringElement.disk(cfg.radius)).bits == 1
-    rows = regional_prototypes(features, np.where(band, len(seeds), labels))
+    rows = regional_prototypes(features, np.where(band.bits == 1, len(seeds), labels))
     return Support(labels, rows[: len(seeds)], rows[-1] if len(rows) > len(seeds) else None)
 
 
@@ -138,9 +143,11 @@ def execute_episode(
     :func:`generate_prompts`, with the seed streams derived once.
     """
     fps_seed, pos_seed, neg_seed = episode_seed_streams(cfg.seed)
-    support = _prepare(support_features, support_mask, cfg, fps_seed)
+    seeds = _seeds(support_features, support_mask, cfg.n_regions, fps_seed)
+    band = periphery_mask(support_mask, StructuringElement.disk(cfg.radius)) if cfg.np else None
+    support = _prepare(support_features, support_mask, seeds, band)
     mean, uncert, neg_map = query_maps(support, query_features, cfg)
-    prompts = select_prompts(mean, uncert, neg_map, cfg, pos_seed, neg_seed)
+    prompts = select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg_map, cfg, neg_seed)
     return EpisodeResult(
         prompts=prompts,
         partition=support.labels,
@@ -252,11 +259,10 @@ def ablation_run(
     """Sweep toggle rows (and optionally region counts) over phantom families.
 
     Every (family, toggle, n_f, seed) cell is one episode scored with the
-    surrogate segmenter. The cells of one (family, seed) share one generated
-    phantom; those of one (family, n_f, seed) share one prepared support, and
-    toggle rows with the same negative-path setting share one query product.
-    Failed cells keep their row with an empty dice and a failure note. Rows
-    come back sorted by family name, toggles, n_f and seed.
+    surrogate segmenter; each value is computed once for the cells it serves
+    (see :func:`_score_group`). Failed cells keep their row with an empty
+    dice and a failure note. Rows come back sorted by family name, toggles,
+    n_f and seed.
     """
     if not families or not toggles:
         raise ConfigError("need at least one family and one toggle row")
@@ -270,6 +276,7 @@ def ablation_run(
         except MaupError as e:
             ph = e  # each cell of this (family, seed) fails with it
         streams = episode_seed_streams(seed)
+        memo = {}  # the phantom's seeds and band, shared by every n_f
         for nf in nfs:
             cells = []  # (row key, config) of this (family, n_f, seed)
             for mmp, ump, np_ in toggles:
@@ -282,8 +289,8 @@ def ablation_run(
                     rows.append(AblationRow(*key, None, f"failed: {e}"))
             if isinstance(ph, MaupError):
                 rows += _failed(cells, ph)
-            elif cells:
-                rows += _score_group(ph, cells, streams, threshold)
+            elif cells:  # only n_f >= 1 is valid: max(nfs) is the largest valid n_f
+                rows += _score_group(ph, cells, max(nfs), streams, memo, threshold)
     rows.sort(key=AblationRow.sort_key)
     return AblationReport(rows=tuple(rows))
 
@@ -293,49 +300,46 @@ def _failed(cells, e: MaupError) -> list[AblationRow]:
     return [AblationRow(*key, None, f"failed: {e}") for key, _ in cells]
 
 
-def _score_group(ph: Phantom, cells, streams, threshold: float) -> list[AblationRow]:
+def _score_group(ph: Phantom, cells, n_seeds, streams, memo: dict, threshold: float) -> list[AblationRow]:
     """Score the cells of one (family, n_f, seed) from one support, pooled once.
 
-    With any negative-path-on cell the periphery band is pooled with the
-    regions. The negative-path-off cells see the support without its row and
-    are finished first, so one stack is alive at a time.
+    Seeds (a prefix of one greedy draw for ``n_seeds`` regions) and band come from
+    the phantom's ``memo``. Where the two row sets' regional maps are equal, the
+    negative-path-on set reuses the off maps and the positives selected from them.
     """
     fps_seed, pos_seed, neg_seed = streams
     off = [c for c in cells if not c[1].np]
     on = [c for c in cells if c[1].np]
-    try:
-        support = _prepare(ph.support_features, ph.support_mask, replace(cells[0][1], np=bool(on)), fps_seed)
-    except MaupError as e:
-        if not (on and off):
-            return _failed(cells, e)
-        # the failure may be the band's, which fails only the negative-path-on cells
-        return _failed(on, e) + _score_group(ph, off, streams, threshold)
-    rows = []
-    if off:
-        rows += _score_cells(ph, support._replace(periphery=None), off, pos_seed, neg_seed, threshold)
-    if on:
-        rows += _score_cells(ph, support, on, pos_seed, neg_seed, threshold)
-    return rows
-
-
-def _score_cells(
-    ph: Phantom, support: Support, cells, pos_seed, neg_seed, threshold: float
-) -> list[AblationRow]:
-    """Prompt, segment and score cells that share one query product."""
-    try:
-        maps = query_maps(support, ph.query_features, cells[0][1])
-    except MaupError as e:
-        return _failed(cells, e)
-    height, width = ph.query_features.height, ph.query_features.width
-    rows = []
-    for key, cfg in cells:
+    f, m, disk = ph.support_features, ph.support_mask, StructuringElement.disk(cells[0][1].radius)
+    try:  # `get(k) or setdefault(k, ...)` computes a memo entry once (again if it raised)
+        seeds = memo.get("seeds") or memo.setdefault("seeds", _seeds(f, m, n_seeds, fps_seed))
+        band = (memo.get("band") or memo.setdefault("band", periphery_mask(m, disk))) if on else None
+        support = _prepare(f, m, seeds[: cells[0][1].n_regions], band)
+    except MaupError as e:  # the failure may be the band's, which fails only the np-on cells
+        rest = _score_group(ph, off, n_seeds, streams, memo, threshold) if on and off else _failed(off, e)
+        return _failed(on, e) + rest
+    rows, chosen, shared = [], {}, None
+    for row_set, sup in ((off, support._replace(periphery=None)), (on, support)):
+        if not row_set:
+            continue
         try:
-            prompts = select_prompts(*maps, cfg, pos_seed, neg_seed)
-            export = build_export(prompts, len(support.protos), height, width)
-            d = dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
-            rows.append(AblationRow(*key, d, "ok"))
+            mean, uncert, neg_map = query_maps(sup, ph.query_features, row_set[0][1])
         except MaupError as e:
-            rows.append(AblationRow(*key, None, f"failed: {e}"))
+            rows += _failed(row_set, e)
+            continue
+        if shared and all(np.array_equal(a.values, b.values) for a, b in zip(shared, (mean, uncert))):
+            mean, uncert = shared
+        shared = mean, uncert
+        for key, cfg in row_set:
+            try:
+                pk = (mean, uncert, cfg.mmp, cfg.ump)
+                pos = chosen.get(pk) or chosen.setdefault(pk, positive_prompts(mean, uncert, cfg, pos_seed))
+                prompts = select_prompts(pos, neg_map, cfg, neg_seed)
+                export = build_export(prompts, len(sup.protos), mean.height, mean.width)
+                d = dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
+                rows.append(AblationRow(*key, d, "ok"))
+            except MaupError as e:
+                rows.append(AblationRow(*key, None, f"failed: {e}"))
     return rows
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClusterError, ConfigError, EmptyCandidateError, ShapeError
+from .errors import ClusterError, ConfigError, EmptyCandidateError, OverlapError, ShapeError
 from .regions import area_and_perimeter
 from .simmaps import candidate_mask, percentile_threshold
 from .tensors import BitMask, PointRC, ScalarMap
@@ -105,7 +105,7 @@ class PromptSet:
     def __post_init__(self):
         pos = {p.point for p in self.positives}
         if pos & set(self.negatives):
-            raise ValueError("positive and negative prompts overlap")
+            raise OverlapError("positive and negative prompts overlap")
 
 
 def episode_seed_streams(seed) -> tuple[np.random.SeedSequence, ...]:
@@ -132,19 +132,20 @@ def adaptive_k(score: ComplexityScore, gamma: float, n_min: int, n_max: int) -> 
 
 
 def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seed k centers by squared-distance-weighted sampling."""
+    """Seed k centers by squared-distance-weighted picks, each drawn as ``rng.choice`` draws it."""
     n = len(coords)
+    rows, cols = coords.T
     centers = np.empty((k, 2), dtype=np.float64)
-    centers[0] = coords[int(rng.integers(n))]
-    d2 = ((coords - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    d2 = np.full(n, np.inf)  # inf before the first pick, which is uniform
+    for j in range(k):
         total = d2.sum()
-        if total > 0.0:
-            pick = int(rng.choice(n, p=d2 / total))
+        if 0.0 < total < np.inf:
+            cdf = np.cumsum(d2 / total)  # rng.choice(n, p=d2 / total), without its checks
+            pick = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
         else:
             pick = int(rng.integers(n))
         centers[j] = coords[pick]
-        d2 = np.minimum(d2, ((coords - centers[j]) ** 2).sum(axis=1))
+        np.minimum(d2, (rows - centers[j, 0]) ** 2 + (cols - centers[j, 1]) ** 2, out=d2)
     return centers
 
 
@@ -169,8 +170,8 @@ def lloyd_cluster(
     Returns (centers, labels, the final N x k squared distances, initial WCSS,
     final WCSS). Assignment ties go to the lowest center index. A cluster that
     loses all members is reseeded at the point currently farthest from its own
-    center, which never increases the objective. Stops when every center moves
-    less than ``tol`` or after ``max_iter`` rounds.
+    center, which never increases the objective. Stops after ``max_iter`` rounds or
+    a round without reseeds that repeats the labels or moves every center < ``tol``.
 
     Centers are ``np.bincount`` coordinate sums over counts. For integer
     coordinates (every maup caller passes grid pixels) those sums are exact
@@ -201,9 +202,9 @@ def lloyd_cluster(
                 new_centers[j] = coords[far]
                 own_d2[far] = -1.0  # keep a second empty cluster off this point
         moved = max(math.sqrt(dr * dr + dc * dc) for dr, dc in (new_centers - centers).tolist())
-        centers = new_centers
+        centers, previous = new_centers, labels
         labels, d2 = _assign(coords, centers)
-        if moved < tol and not empties:
+        if not empties and (moved < tol or np.array_equal(labels, previous)):
             break
     wcss_final = float(d2[np.arange(n), labels].sum())
     if wcss_final > wcss_init + 1e-9:
@@ -323,22 +324,12 @@ def generate_prompts(
     stream split the episode pipeline uses.
     """
     _, pos_seed, neg_seed = episode_seed_streams(cfg.seed)
-    return select_prompts(mean, uncert, neg_map, cfg, pos_seed, neg_seed)
+    return select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg_map, cfg, neg_seed)
 
 
-def select_prompts(
-    mean: ScalarMap,
-    uncert: ScalarMap,
-    neg_map: ScalarMap | None,
-    cfg: PromptConfig,
-    pos_seed,
-    neg_seed,
-) -> PromptSet:
-    """:func:`generate_prompts` with the positive and negative seed streams given.
-
-    The maps are only read, so callers may share them between configs.
-    """
-    mean_pts, unc_pts, k_used, tau_mean, tau_unc = positive_prompts(mean, uncert, cfg, pos_seed)
+def select_prompts(positives: tuple, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
+    """:func:`generate_prompts` from :func:`positive_prompts`' tuple; its inputs are only read."""
+    mean_pts, unc_pts, k_used, tau_mean, tau_unc = positives
 
     neg_pts = np.empty((0, 2), dtype=np.int64)
     tau_neg = None

@@ -199,7 +199,7 @@ def load_tensor(path, expect: type | None = None) -> Tensor:
     dims = tuple(int(d) for d in np.frombuffer(raw, dtype="<u4", count=rank, offset=_HEADER.size))
     if min(dims) < 1:
         raise FormatError(f"{path}: zero dimension in {dims}")
-    count = int(np.prod(dims, dtype=np.int64))
+    count = int(np.prod(dims, dtype=object))  # a Python int: an int64 product could wrap
     itemsize = 4 if dtype_code == DTYPE_F32 else 1
     if len(raw) - dims_end != count * itemsize:
         raise FormatError(

@@ -12,6 +12,9 @@ from maup.cli import main, parse_sweep_config
 from maup.tensors import BitMask, save_tensor
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def make_episode_files(tmp_path, seed=0):
     out = tmp_path / "ph"
     rc = main(["phantom", "--family", "disk", "--seed", str(seed), "--out", str(out)])
@@ -266,3 +269,18 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestReadmeSweep:
+    """The README's sweep config, run as ``maup ablate`` in a fresh process."""
+
+    def test_config_is_the_readme_example(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        assert (GOLDEN / "ablation_readme.cfg").read_text() in readme
+
+    def test_csv_bytes_equal_the_golden_file(self, tmp_path):
+        out = tmp_path / "report.csv"
+        proc = run_cli_process(["ablate", "--config", str(GOLDEN / "ablation_readme.cfg"), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote 600 rows (0 failed)" in proc.stdout
+        assert out.read_bytes() == (GOLDEN / "ablation_readme.csv").read_bytes()

@@ -584,10 +584,10 @@ class TestAblation:
     def test_failed_rows_are_flagged_not_dropped(self, monkeypatch):
         real = pl.select_prompts
 
-        def flaky(mean, uncert, neg_map, cfg, pos_seed, neg_seed):
+        def flaky(positives, neg_map, cfg, neg_seed):
             if cfg.seed == 1:
                 raise EmptyMaskError("synthetic failure")
-            return real(mean, uncert, neg_map, cfg, pos_seed, neg_seed)
+            return real(positives, neg_map, cfg, neg_seed)
 
         monkeypatch.setattr(pl, "select_prompts", flaky)
         report = pl.ablation_run(
@@ -612,8 +612,9 @@ class TestAblation:
     @pytest.mark.parametrize(
         "stage, bad, fails",
         [
-            # the support of one n_f
-            ("farthest_point_seeds", lambda args: args[1] == 5, lambda row: row.n_f == 5),
+            # the seeds of one (family, seed), shared by every n_f: like a real
+            # seeding failure it depends on the seed stream (sweep seed 1), not on n
+            ("farthest_point_seeds", lambda args: args[2].entropy == 1, lambda row: row.seed == 1),
             # the periphery row
             ("periphery_mask", lambda args: True, lambda row: row.np),
             # the negative-path-off product at n_f 5: 5 regional rows
@@ -656,6 +657,7 @@ class TestAblation:
             "regional_prototypes",
             "periphery_mask",
             "similarity_stack",
+            "positive_prompts",
             "select_prompts",
         ]
         for name in names:
@@ -665,13 +667,42 @@ class TestAblation:
         assert len(report.rows) == 60 and all(r.status == "ok" for r in report.rows)
         assert counts == {
             "episode_seed_streams": 4,  # one per (family, seed)
-            "farthest_point_seeds": 20,  # one support per (family, n_f, seed)
-            "voronoi_partition": 20,
+            "farthest_point_seeds": 4,  # one seeding per (family, seed), a prefix per n_f
+            "periphery_mask": 4,  # one band per (family, seed)
+            "voronoi_partition": 20,  # one support per (family, n_f, seed)
             "regional_prototypes": 20,
-            "periphery_mask": 20,
             "similarity_stack": 40,  # one product per row set: negative path off, on
-            "select_prompts": 60,  # prompting stays per cell
+            "positive_prompts": 40,  # ump and mmp+ump; mmp+ump+np reuses the equal off maps
+            "select_prompts": 60,  # the rest of prompting stays per cell
         }
+
+    def test_unequal_maps_select_positives_per_row_set(self, monkeypatch, tmp_path):
+        # one ulp up at pixel (0, 0) of every regional row of the negative-path-on
+        # product at n_f 5 (5 regional rows and the periphery row): that group's
+        # maps no longer equal the off maps, so its mmp+ump+np row selects its own
+        # positives, while the other groups still share theirs
+        real_stack, real_positives = pl.similarity_stack, pl.positive_prompts
+        calls = []
+
+        def nudged(query, protos):
+            stack = real_stack(query, protos)
+            if len(protos) == 6:
+                stack[:-1, 0, 0] = np.nextafter(stack[:-1, 0, 0], np.float32(np.inf))
+            return stack
+
+        def counted(mean, uncert, cfg, seed):
+            calls.append((cfg.n_regions, cfg.np))
+            return real_positives(mean, uncert, cfg, seed)
+
+        monkeypatch.setattr(pl, "similarity_stack", nudged)
+        monkeypatch.setattr(pl, "positive_prompts", counted)
+        families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
+        args = (families, SWEEP_TOGGLES, [1, 5, 15, 30, 60], [0])
+        ablation_run(*args).write_csv(tmp_path / "got.csv")
+        assert len(calls) == 40 + len(FAMILIES)
+        assert sorted(nf for nf, np_ in calls if np_) == [5] * len(FAMILIES)
+        reference_ablation(*args).write_csv(tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_phantom_generated_once_per_family_and_seed(self, monkeypatch):
         import maup.pipeline as pl

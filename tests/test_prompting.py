@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maup.prompting as mp
-from maup.errors import ClusterError, ConfigError, EmptyCandidateError, MaupError, ShapeError
+from maup.errors import (
+    ClusterError,
+    ConfigError,
+    EmptyCandidateError,
+    MaupError,
+    OverlapError,
+    ShapeError,
+)
 from maup.prompting import (
     MEAN_TAG,
     UNCERTAINTY_TAG,
@@ -35,6 +42,23 @@ def assign_reference(coords, centers):
     """``_assign`` as first written: one N x k x 2 broadcast, squared and summed."""
     d2 = ((coords[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1), d2
+
+
+def kmeans_pp_reference(coords, k, rng):
+    """``_kmeans_pp_init`` as first written: each weighted pick is an ``rng.choice`` call."""
+    n = len(coords)
+    centers = np.empty((k, 2), dtype=np.float64)
+    centers[0] = coords[int(rng.integers(n))]
+    d2 = ((coords - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            pick = int(rng.choice(n, p=d2 / total))
+        else:
+            pick = int(rng.integers(n))
+        centers[j] = coords[pick]
+        d2 = np.minimum(d2, ((coords - centers[j]) ** 2).sum(axis=1))
+    return centers
 
 
 def lloyd_reference(coords, k, seed, max_iter=100, tol=1e-4):
@@ -414,6 +438,51 @@ class TestKMeans:
         assert got[2].tobytes() == assign_reference(coords, want[0])[1].tobytes()
         assert got[3] == want[2] and got[4] == want[3]
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        grid=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        n=st.integers(1, 80),
+        k_share=st.floats(0.0, 1.0),
+        repeats=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kmeans_pp_init_draws_as_rng_choice(self, grid, n, k_share, repeats, seed):
+        # a 1 x 1 grid makes every point equal (zero total weight); repeated
+        # points give zero weights next to positive ones
+        rng = np.random.default_rng(seed)
+        coords = np.column_stack([rng.integers(0, g, n) for g in grid]).astype(np.float64)
+        coords = np.repeat(coords, repeats, axis=0)
+        k = 1 + int(k_share * (len(coords) - 1))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mp._kmeans_pp_init(coords, k, got_rng)
+        want = kmeans_pp_reference(coords, k, want_rng)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()  # the same draws were consumed
+
+    def test_kmeans_pp_init_with_all_points_equal_draws_uniformly(self):
+        coords = np.full((6, 2), 4.0)
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = mp._kmeans_pp_init(coords, 4, got_rng)
+        assert got.tobytes() == kmeans_pp_reference(coords, 4, want_rng).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_lloyd_stops_when_labels_repeat(self, monkeypatch):
+        # two far-apart pairs settle after one update: the labels repeat at once,
+        # and the loop ends there instead of spending a round to see no center move
+        rounds = []
+        real = mp._assign
+
+        def counted(coords, centers):
+            rounds.append(centers.copy())
+            return real(coords, centers)
+
+        monkeypatch.setattr(mp, "_assign", counted)
+        monkeypatch.setattr(mp, "_kmeans_pp_init", lambda coords, k, rng: coords[[0, 2]].copy())
+        coords = np.array([[0.0, 0.0], [0.0, 2.0], [9.0, 9.0], [9.0, 11.0]])
+        centers, labels, _, _, w1 = lloyd_cluster(coords, 2, 0, tol=-1.0)
+        assert len(rounds) == 2  # the initial assignment and one update
+        assert centers.tolist() == [[0.0, 1.0], [9.0, 10.0]] and w1 == 4.0
+
     def test_all_identical_points_stay_stable(self):
         coords = np.array([[3.0, 3.0], [3.0, 3.0]])
         _, labels, _, w0, w1 = lloyd_cluster(coords, 2, 1)
@@ -536,7 +605,7 @@ class TestNegativePrompts:
 
     def test_prompt_set_rejects_overlap(self):
         p = PointRC(1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(OverlapError, match="positive and negative prompts overlap") as exc:
             PromptSet(
                 positives=(PromptPoint(p, MEAN_TAG),),
                 negatives=(p,),
@@ -544,6 +613,7 @@ class TestNegativePrompts:
                 seed=0,
                 scale=1,
             )
+        assert isinstance(exc.value, MaupError)
 
     def test_containment_in_candidate_set(self):
         rng = np.random.default_rng(6)
@@ -733,7 +803,9 @@ class TestListReference:
         )
         neg = neg if neg_present else None
         _, pos_seed, neg_seed = mp.episode_seed_streams(seed)
-        got = outcome(lambda: select_prompts(mean, uncert, neg, cfg, pos_seed, neg_seed))
+        got = outcome(
+            lambda: select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg, cfg, neg_seed)
+        )
         want = outcome(lambda: select_reference(mean, uncert, neg, cfg, pos_seed, neg_seed))
         assert got == want
 
@@ -785,9 +857,9 @@ class TestPointObjects:
         neg = ScalarMap(rng.random((64, 64)))
         cfg = PromptConfig(seed=4, scale=1, percentile=50.0)
         _, pos_seed, neg_seed = mp.episode_seed_streams(cfg.seed)
-        want = select_prompts(mean, uncert, neg, cfg, pos_seed, neg_seed)
+        want = select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg, cfg, neg_seed)
         for module in (mp, maup.simmaps):
             monkeypatch.setattr(module, "PointRC", CountingPointRC, raising=False)
-        got = select_prompts(mean, uncert, neg, cfg, pos_seed, neg_seed)
+        got = select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg, cfg, neg_seed)
         assert got == want and got.negatives and len(got.positives) == want.k_used + 2
         assert len(built) <= len(got.positives) + len(got.negatives)

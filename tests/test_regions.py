@@ -118,6 +118,24 @@ class TestFarthestPointSeeds:
         with pytest.raises(EmptyMaskError):
             farthest_point_seeds(BitMask(np.zeros((4, 4), dtype=np.uint8)), 1, 0)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        bits=arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=st.integers(0, 1)),
+        n=st.integers(1, 40),
+        extra=st.integers(0, 150),
+        seed=st.integers(0, 2**32 - 1),
+        spawned=st.booleans(),
+    )
+    def test_first_seeds_equal_a_shorter_run(self, bits, n, extra, seed, spawned):
+        # greedy: the first draw and the argmax tie rule do not depend on n, so a
+        # longer run's first min(n, fg) seeds are the shorter run (ablation sweeps
+        # take every n_f's seeds as a prefix of one run)
+        assume(bits.any())
+        fg = BitMask(bits)
+        stream = np.random.SeedSequence(seed).spawn(3)[0] if spawned else seed
+        longer = farthest_point_seeds(fg, n + extra, stream)
+        assert farthest_point_seeds(fg, n, stream) == longer[: min(n, fg.foreground_count)]
+
     def test_spread_beats_random_subsets(self):
         fg = disk_mask(32, 32, 16, 16, 12)
         pts = farthest_point_seeds(fg, 30, 0)

@@ -2,8 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from maup.errors import DataError, FormatError
+from maup.errors import DataError, FormatError, MaupError
 from maup.tensors import (
     BitMask,
     FeatureMap,
@@ -123,6 +125,48 @@ class TestHeaderValidation:
             load_tensor(path, expect=BitMask)
         with pytest.raises(FormatError, match="caller requested FeatureMap"):
             load_tensor(path, expect=FeatureMap)
+
+
+@st.composite
+def tensor_files(draw):
+    """Arbitrary bytes, or a valid header with at most one field broken, followed by
+    a payload of about the size its dims ask for (any bytes, so NaN and 2 occur)."""
+    kinds = [None, None, "bytes", "magic", "version", "dtype", "rank", "reserved", "dims", "size"]
+    broken = draw(st.sampled_from(kinds))
+    if broken == "bytes":
+        return draw(st.binary(max_size=64))
+
+    def field(name, valid, invalid):
+        return draw(st.sampled_from(invalid if broken == name else valid))
+
+    magic, version = field("magic", [b"MAUP"], [b"MAUQ"]), field("version", [1], [0, 2])
+    dtype, rank = field("dtype", [1, 2], [0, 3]), field("rank", [2, 3], [1, 4])
+    reserved = field("reserved", [0], [1])
+    if broken == "dims":  # any count, zero and huge dims, products past int64
+        dim = st.one_of(st.integers(0, 4), st.sampled_from([2**21, 2**22, 2**32 - 1]))
+        dims = draw(st.lists(dim, max_size=4))
+    else:
+        dims = draw(st.lists(st.integers(1, 4), min_size=rank, max_size=rank))
+    size = int(np.prod(dims, dtype=object)) * (4 if dtype == 1 else 1)
+    size = max(0, (size if size <= 256 else draw(st.integers(0, 256))) + field("size", [0], [-1, 1]))
+    return header(dtype, rank, dims, magic, version, reserved) + draw(st.binary(min_size=size, max_size=size))
+
+
+class TestLoadFuzz:
+    @settings(deadline=None, max_examples=400)
+    @given(raw=tensor_files())
+    # dims whose product wraps to 0 in int64 next to an empty payload
+    @example(raw=header(1, 3, [2**22, 2**21, 2**21]))
+    @example(raw=header(2, 2, [2**32 - 1, 2**32 - 1]))
+    def test_loads_a_round_tripping_tensor_or_raises_a_maup_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "t.maup"
+        path.write_bytes(raw)
+        try:
+            tensor = load_tensor(path)
+        except MaupError:
+            return
+        save_tensor(tensor, path)
+        assert path.read_bytes() == raw
 
 
 class TestTypes:
