@@ -35,7 +35,6 @@ from .pipeline import (
     surrogate_segment,
 )
 from .prompting import (
-    ComplexityScore,
     PromptConfig,
     PromptPoint,
     PromptSet,
@@ -47,7 +46,7 @@ from .prompting import (
     negative_prompts,
     positive_prompts,
 )
-from .prototypes import masked_average_pool, periphery_prototype, regional_prototypes
+from .prototypes import periphery_prototype, regional_prototypes
 from .regions import (
     StructuringElement,
     area_and_perimeter,
@@ -58,7 +57,6 @@ from .regions import (
 )
 from .simmaps import (
     cosine_map,
-    extract_candidates,
     mean_map,
     percentile_threshold,
     similarity_stack,

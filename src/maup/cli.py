@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import MaupError
@@ -25,19 +26,43 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_prompt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nf", type=int, default=30, help="foreground region count")
-    p.add_argument("--gamma", type=float, default=5.0)
-    p.add_argument("--nmin", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--nneg", type=int, default=3)
-    p.add_argument("--radius", type=int, default=5, help="periphery dilation radius")
-    p.add_argument("--pct", type=float, default=95.0, help="candidate percentile")
-    p.add_argument("--scale", type=int, default=14, help="grid-to-image pixel factor")
-    p.add_argument("--no-mmp", action="store_true", help="disable mean-map prompts")
-    p.add_argument("--no-ump", action="store_true", help="disable uncertainty prompts")
-    p.add_argument("--no-np", action="store_true", help="disable negative prompts")
+# flag of `maup run` / `maup phantom`, and key of a sweep file -> dataclass field;
+# the defaults and types come from the dataclass
+PROMPT_FLAGS = {
+    "seed": "seed", "nf": "n_regions", "gamma": "gamma", "nmin": "n_min", "nmax": "n_max",
+    "nneg": "n_neg", "radius": "radius", "pct": "percentile", "scale": "scale",
+}
+PHANTOM_FLAGS = {name: name for name in ("seed", "size", "channels", "contrast", "noise")}
+HELP = {
+    "nf": "foreground region count",
+    "radius": "periphery dilation radius",
+    "pct": "candidate percentile",
+    "scale": "grid-to-image pixel factor",
+}
+PER_CELL = {"seed", "nf", "scale"}  # a sweep sets these per cell: no sweep key sets their default
+SWEEP_KEYS = {"families", "toggles", "nf", "seeds", "threshold"} | (
+    PROMPT_FLAGS.keys() | PHANTOM_FLAGS.keys()
+) - PER_CELL
+
+
+def _add_flags(p: argparse.ArgumentParser, cls, table: dict) -> None:
+    """One ``--flag`` per table entry, with its dataclass field's default and type."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    for flag, name in table.items():
+        default = defaults[name]
+        p.add_argument(f"--{flag}", type=type(default), default=default, help=HELP.get(flag))
+
+
+def _field_values(cls, table: dict, given: dict, source: str = "") -> dict:
+    """Field name -> value for every table key in ``given``, cast to the field default's type."""
+    kinds, out = {f.name: type(f.default) for f in fields(cls)}, {}
+    for key, name in table.items():
+        if key in given:
+            try:
+                out[name] = kinds[name](given[key])
+            except ValueError as e:
+                raise MaupError(f"{source}: bad value for {key!r}: {e}") from e
+    return out
 
 
 def _config_from_args(args) -> PromptConfig:
@@ -45,15 +70,7 @@ def _config_from_args(args) -> PromptConfig:
         mmp=not args.no_mmp,
         ump=not args.no_ump,
         np=not args.no_np,
-        gamma=args.gamma,
-        n_min=args.nmin,
-        n_max=args.nmax,
-        n_neg=args.nneg,
-        radius=args.radius,
-        n_regions=args.nf,
-        percentile=args.pct,
-        seed=args.seed,
-        scale=args.scale,
+        **_field_values(PromptConfig, PROMPT_FLAGS, vars(args)),
     )
 
 
@@ -68,16 +85,15 @@ def build_parser() -> _Parser:
     run.add_argument("--query-gt", default=None)
     run.add_argument("--out", required=True)
     run.add_argument("--heatmaps", action="store_true", help="also write PGM heatmaps")
-    _add_prompt_flags(run)
+    _add_flags(run, PromptConfig, PROMPT_FLAGS)
+    run.add_argument("--no-mmp", action="store_true", help="disable mean-map prompts")
+    run.add_argument("--no-ump", action="store_true", help="disable uncertainty prompts")
+    run.add_argument("--no-np", action="store_true", help="disable negative prompts")
 
     ph = sub.add_parser("phantom", help="generate a synthetic episode's tensor files")
     ph.add_argument("--family", required=True, choices=FAMILIES)
-    ph.add_argument("--seed", type=int, default=0)
     ph.add_argument("--out", required=True)
-    ph.add_argument("--size", type=int, default=32)
-    ph.add_argument("--channels", type=int, default=16)
-    ph.add_argument("--contrast", type=float, default=1.0)
-    ph.add_argument("--noise", type=float, default=0.0)
+    _add_flags(ph, PhantomSpec, PHANTOM_FLAGS)
 
     ab = sub.add_parser("ablate", help="run a toggle/region-count sweep over phantoms")
     ab.add_argument("--config", required=True, help="key=value sweep file")
@@ -108,14 +124,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    spec = PhantomSpec(
-        family=args.family,
-        size=args.size,
-        channels=args.channels,
-        contrast=args.contrast,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    spec = PhantomSpec(args.family, **_field_values(PhantomSpec, PHANTOM_FLAGS, vars(args)))
     paths = save_phantom(spec, args.out)
     for name, path in paths.items():
         print(f"wrote {name}: {path}")
@@ -157,51 +166,23 @@ def _parse_seeds(token: str) -> list[int]:
 
 def _cmd_ablate(args) -> int:
     raw = parse_sweep_config(args.config)
-
-    def get(key, default, cast):
-        try:
-            return cast(raw[key]) if key in raw else default
-        except ValueError as e:
-            raise MaupError(f"{args.config}: bad value for {key!r}: {e}") from e
-
-    family_names = [t.strip() for t in raw.get("families", "disk").split(",") if t.strip()]
-    for name in family_names:
-        if name not in FAMILIES:
-            raise MaupError(f"unknown phantom family {name!r}")
-    families = [
-        PhantomSpec(
-            family=name,
-            size=get("size", 32, int),
-            channels=get("channels", 16, int),
-            contrast=get("contrast", 1.0, float),
-            noise=get("noise", 0.0, float),
-        )
-        for name in family_names
-    ]
+    if raw.keys() - SWEEP_KEYS:
+        raise MaupError(f"{args.config}: unknown key(s) {sorted(raw.keys() - SWEEP_KEYS)}")
+    given = {key: val for key, val in raw.items() if key not in PER_CELL}
+    spec = _field_values(PhantomSpec, PHANTOM_FLAGS, given, args.config)
+    families = [PhantomSpec(t.strip(), **spec) for t in raw.get("families", "disk").split(",") if t.strip()]
     toggles = [
         _parse_toggle_row(t) for t in raw.get("toggles", "mmp+ump+np").split("|") if t.strip()
     ]
     try:
-        nf_values = [int(t) for t in raw.get("nf", "30").split(",") if t.strip()]
+        nf_values = [int(t) for t in raw.get("nf", "").split(",") if t.strip()]
         seeds = _parse_seeds(raw.get("seeds", "1"))
+        threshold = float(raw.get("threshold", 0.5))
     except ValueError as e:
-        raise MaupError(f"{args.config}: bad sweep list: {e}") from e
-    base = PromptConfig(
-        gamma=get("gamma", 5.0, float),
-        n_min=get("nmin", 3, int),
-        n_max=get("nmax", 10, int),
-        n_neg=get("nneg", 3, int),
-        radius=get("radius", 5, int),
-        percentile=get("pct", 95.0, float),
-        scale=1,
-    )
+        raise MaupError(f"{args.config}: bad sweep list or threshold: {e}") from e
+    base = PromptConfig(**_field_values(PromptConfig, PROMPT_FLAGS, given, args.config), scale=1)
     report = ablation_run(
-        families,
-        toggles,
-        nf_values=nf_values,
-        seeds=seeds,
-        base_config=base,
-        threshold=get("threshold", 0.5, float),
+        families, toggles, nf_values=nf_values, seeds=seeds, base_config=base, threshold=threshold
     )
     report.write_csv(args.out)
     failed = sum(1 for r in report.rows if r.dice is None)

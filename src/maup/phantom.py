@@ -52,6 +52,8 @@ class PhantomSpec:
             raise SpecError(f"contrast must be in (0, 1], got {self.contrast}")
         if self.noise < 0.0:
             raise SpecError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

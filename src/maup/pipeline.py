@@ -34,15 +34,7 @@ from .regions import (
     voronoi_partition,
 )
 from .simmaps import mean_map, similarity_stack, uncertainty_map, write_pgm
-from .surrogate import (  # to_grid_point and to_image_xy: re-exported for pipeline's callers
-    ExportPoint,
-    PromptExport,
-    build_export,
-    dice,
-    surrogate_segment,
-    to_grid_point,
-    to_image_xy,
-)
+from .surrogate import ExportPoint, PromptExport, build_export, dice, surrogate_segment
 from .tensors import BitMask, FeatureMap, PointRC, ScalarMap, load_tensor, save_tensor
 
 
@@ -266,6 +258,8 @@ def ablation_run(
     """
     if not families or not toggles:
         raise ConfigError("need at least one family and one toggle row")
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"sweep seeds must be >= 0, got {min(seeds)}")
     base = base_config if base_config is not None else PromptConfig(scale=1)
     nfs = list(nf_values) if nf_values else [base.n_regions]
 

@@ -31,6 +31,8 @@ MEAN_TAG = "mean-centroid"
 UNCERTAINTY_TAG = "uncertainty"
 N_UNCERTAINTY_PICKS = 2
 MAX_REDRAWS = 10
+LLOYD_MAX_ITER = 100
+LLOYD_TOL = 1e-4  # a center moving less than this ends Lloyd's iteration
 
 
 @dataclass(frozen=True)
@@ -57,28 +59,14 @@ class PromptConfig:
     def __post_init__(self):
         if self.n_min > self.n_max:
             raise ConfigError(f"n_min {self.n_min} exceeds n_max {self.n_max}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 < self.percentile < 100.0:
             raise ConfigError(f"percentile must be in (0, 100), got {self.percentile}")
         if min(self.n_min, self.n_neg, self.radius, self.n_regions, self.scale) < 1:
             raise ConfigError("n_min, n_neg, radius, n_regions and scale must be >= 1")
-
-
-@dataclass(frozen=True)
-class ComplexityScore:
-    """Normalized size-plus-boundary score of a thresholded region.
-
-    ``area_norm`` divides by the frame area H*W and ``perimeter_norm`` by the
-    frame's edge budget 2*(H+W), so c stays resolution-independent and lands
-    near [0, 2] for blob-like regions.
-    """
-
-    area: int
-    perimeter: int
-    area_norm: float
-    perimeter_norm: float
-    c: float
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class PromptPoint(NamedTuple):
@@ -113,22 +101,22 @@ def episode_seed_streams(seed) -> tuple[np.random.SeedSequence, ...]:
     return tuple(np.random.SeedSequence(seed).spawn(3))
 
 
-def complexity(hot: np.ndarray) -> ComplexityScore:
-    """Score a thresholded region, given as its H x W boolean mask."""
+def complexity(hot: np.ndarray) -> float:
+    """Size-plus-boundary score c of a thresholded region, given as its H x W boolean mask.
+
+    The area is divided by the frame area H*W and the perimeter by the frame's
+    edge budget 2*(H+W), so c stays resolution-independent and lands near
+    [0, 2] for blob-like regions.
+    """
     if not hot.any():
         raise EmptyCandidateError("no pixel reaches the mean threshold")
     area, perimeter = area_and_perimeter(BitMask(hot.astype(np.uint8)))
-    area_norm, perimeter_norm = area / hot.size, perimeter / (2 * sum(hot.shape))
-    return ComplexityScore(area, perimeter, area_norm, perimeter_norm, area_norm + perimeter_norm)
+    return area / hot.size + perimeter / (2 * sum(hot.shape))
 
 
-def adaptive_k(score: ComplexityScore, gamma: float, n_min: int, n_max: int) -> int:
-    """Cluster count floor(gamma * c), clamped to [n_min, n_max]."""
-    if n_min > n_max:
-        raise ConfigError(f"n_min {n_min} exceeds n_max {n_max}")
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
-    return max(n_min, min(n_max, int(np.floor(gamma * score.c))))
+def adaptive_k(c: float, cfg: PromptConfig) -> int:
+    """Cluster count floor(cfg.gamma * c), clamped to [cfg.n_min, cfg.n_max] before it is an int."""
+    return int(np.clip(np.floor(cfg.gamma * c), cfg.n_min, cfg.n_max))
 
 
 def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,19 +147,15 @@ def _assign(coords: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def lloyd_cluster(
-    coords: np.ndarray,
-    k: int,
-    seed,
-    max_iter: int = 100,
-    tol: float = 1e-4,
+    coords: np.ndarray, k: int, seed
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Lloyd's iteration with seeded k-means++ initialization.
 
     Returns (centers, labels, the final N x k squared distances, initial WCSS,
     final WCSS). Assignment ties go to the lowest center index. A cluster that
     loses all members is reseeded at the point currently farthest from its own
-    center, which never increases the objective. Stops after ``max_iter`` rounds or
-    a round without reseeds that repeats the labels or moves every center < ``tol``.
+    center, which never increases the objective. Stops after ``LLOYD_MAX_ITER`` rounds
+    or a round without reseeds that repeats the labels or moves every center < ``LLOYD_TOL``.
 
     Centers are ``np.bincount`` coordinate sums over counts. For integer
     coordinates (every maup caller passes grid pixels) those sums are exact
@@ -188,7 +172,7 @@ def lloyd_cluster(
     labels, d2 = _assign(coords, centers)
     wcss_init = float(d2[np.arange(n), labels].sum())
     axes = coords.T.copy()  # contiguous weights for np.bincount
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         counts = np.bincount(labels, minlength=k)
         size = np.maximum(counts, 1)  # an empty cluster's center is reseeded below
         new_centers = np.empty((k, 2))
@@ -204,7 +188,7 @@ def lloyd_cluster(
         moved = max(math.sqrt(dr * dr + dc * dc) for dr, dc in (new_centers - centers).tolist())
         centers, previous = new_centers, labels
         labels, d2 = _assign(coords, centers)
-        if not empties and (moved < tol or np.array_equal(labels, previous)):
+        if not empties and (moved < LLOYD_TOL or np.array_equal(labels, previous)):
             break
     wcss_final = float(d2[np.arange(n), labels].sum())
     if wcss_final > wcss_init + 1e-9:
@@ -223,8 +207,6 @@ def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
     pts = np.asarray(points, dtype=np.int64)
     if len(pts) == 0:
         raise EmptyCandidateError("cannot run k-means on zero candidates")
-    if k < 1:
-        raise ConfigError(f"need k >= 1, got {k}")
     keys = np.sort(pts[:, 0] * (np.ptp(pts[:, 1]) + 1) + pts[:, 1])  # row-major, one per point
     k = min(k, 1 + np.count_nonzero(np.diff(keys)))  # distinct points
     _, labels, d2, _, _ = lloyd_cluster(pts, k, seed)
@@ -261,7 +243,7 @@ def positive_prompts(
     if cfg.mmp:
         tau_mean = percentile_threshold(mean, cfg.percentile)
         hot = candidate_mask(mean, tau_mean, "mean")
-        k = adaptive_k(complexity(hot), cfg.gamma, cfg.n_min, cfg.n_max)
+        k = adaptive_k(complexity(hot), cfg)
         mean_pts = kmeans(np.argwhere(hot), k, rng)
 
     if cfg.ump:

@@ -14,13 +14,6 @@ from .errors import EmptyMaskError, EmptyPeripheryError, ShapeError
 from .tensors import BitMask, FeatureMap
 
 
-def masked_average_pool(f: FeatureMap, m: BitMask) -> np.ndarray:
-    """Mean feature vector over the pixels where the mask is set."""
-    if (f.height, f.width) != (m.height, m.width):
-        raise ShapeError(f"feature map is {f.height}x{f.width} but mask is {m.height}x{m.width}")
-    return regional_prototypes(f, m.bits.astype(np.int64) - 1)[0]
-
-
 def regional_prototypes(f_s: FeatureMap, labels: np.ndarray) -> np.ndarray:
     """P x C matrix whose row k pools the pixels labelled k, for k in [0, max label].
 
@@ -44,7 +37,7 @@ def regional_prototypes(f_s: FeatureMap, labels: np.ndarray) -> np.ndarray:
 
 
 def periphery_prototype(f_s: FeatureMap, periphery: BitMask) -> np.ndarray:
-    """Prototype of the band surrounding the support foreground."""
+    """The band around the support foreground, pooled as one label by :func:`regional_prototypes`."""
     if periphery.foreground_count == 0:
         raise EmptyPeripheryError("periphery band is empty")
-    return masked_average_pool(f_s, periphery)
+    return regional_prototypes(f_s, periphery.bits.astype(np.int64) - 1)[0]

@@ -9,7 +9,8 @@ structuring element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -23,20 +24,10 @@ class StructuringElement:
     """Discrete disk of offsets (dy, dx) with dy^2 + dx^2 <= radius^2."""
 
     radius: int
-    offsets: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
         if self.radius < 1:
             raise ConfigError(f"radius must be >= 1, got {self.radius}")
-        if not self.offsets:
-            r = self.radius
-            span = range(-r, r + 1)
-            offs = tuple((dy, dx) for dy in span for dx in span if dy * dy + dx * dx <= r * r)
-            object.__setattr__(self, "offsets", offs)
-        if (0, 0) not in self.offsets:
-            raise ConfigError("structuring element must contain (0, 0)")
-        if set(self.offsets) != {(-dy, -dx) for dy, dx in self.offsets}:
-            raise ConfigError("structuring element offsets must be symmetric")
 
     @classmethod
     @cache  # one element per radius
@@ -44,15 +35,18 @@ class StructuringElement:
         return cls(radius=radius)
 
     @cached_property
+    def offsets(self) -> tuple[tuple[int, int], ...]:
+        span = range(-self.radius, self.radius + 1)
+        return tuple((dy, dx) for dy in span for dx in span if dy * dy + dx * dx <= self.radius**2)
+
+    @cached_property
     def rows(self) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
         """(dxs, dys) pairs: each distinct set of dx and the dy values whose offsets use it."""
-        by_dy: dict[int, set[int]] = {}
-        for dy, dx in self.offsets:
-            by_dy.setdefault(dy, set()).add(dx)
-        by_dxs: dict[frozenset[int], tuple[int, ...]] = {}
-        for dy, dxs in by_dy.items():
-            by_dxs[frozenset(dxs)] = by_dxs.get(frozenset(dxs), ()) + (dy,)
-        return tuple(by_dxs.items())
+        by_half: dict[int, tuple[int, ...]] = {}  # row dy of the disk spans dx in [-half, half]
+        for dy in range(-self.radius, self.radius + 1):
+            half = math.isqrt(self.radius**2 - dy * dy)
+            by_half[half] = by_half.get(half, ()) + (dy,)
+        return tuple((frozenset(range(-half, half + 1)), dys) for half, dys in by_half.items())
 
 
 def farthest_point_seeds(fg: BitMask, n: int, seed) -> list[PointRC]:

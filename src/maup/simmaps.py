@@ -85,11 +85,6 @@ def candidate_mask(map_: ScalarMap, tau: float, tag: str) -> np.ndarray:
     return hot
 
 
-def extract_candidates(map_: ScalarMap, tau: float, tag: str) -> np.ndarray:
-    """The pixels of :func:`candidate_mask` as an N x 2 int64 (row, col) array, row-major."""
-    return np.argwhere(candidate_mask(map_, tau, tag))
-
-
 def write_pgm(map_: ScalarMap, path) -> None:
     """Dump a map as an 8-bit binary PGM (P5), min-max normalized."""
     vals = map_.values.astype(np.float64)

@@ -16,16 +16,14 @@ from maup.pipeline import (
     run_episode,
     save_phantom,
     surrogate_segment,
-    to_grid_point,
 )
 from maup.prompting import (
     MEAN_TAG,
-    ComplexityScore,
     PromptConfig,
     adaptive_k,
     lloyd_cluster,
 )
-from maup.prototypes import masked_average_pool
+from maup.prototypes import regional_prototypes
 from maup.regions import (
     StructuringElement,
     dilate,
@@ -38,6 +36,7 @@ from maup.simmaps import (
     percentile_threshold,
     uncertainty_map,
 )
+from maup.surrogate import to_grid_point
 from maup.tensors import BitMask, FeatureMap, ScalarMap
 
 from oracles import (
@@ -81,7 +80,7 @@ def test_oracle_equivalence():
     for seed in range(n):
         rng, f, m = random_instance(seed)
 
-        pooled = masked_average_pool(f, m)
+        pooled = regional_prototypes(f, m.bits.astype(np.int64) - 1)[0]  # the mask as label 0
         assert np.allclose(pooled, pool_oracle(f.data, m.bits), rtol=RTOL, atol=ATOL)
 
         proto = rng.standard_normal(f.channels)
@@ -158,8 +157,7 @@ def test_adaptive_k_clamp():
     seen = set()
     ok = True
     for gamma, c, expected in cases:
-        score = ComplexityScore(area=0, perimeter=0, area_norm=c, perimeter_norm=0.0, c=c)
-        k = adaptive_k(score, gamma, 3, 10)
+        k = adaptive_k(c, PromptConfig(gamma=gamma, n_min=3, n_max=10))
         ok &= k == expected == max(3, min(10, int(np.floor(gamma * c))))
         seen.add(k)
     ok &= {3, 10} <= seen

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import maup
-from maup.cli import main, parse_sweep_config
+from maup.cli import _config_from_args, build_parser, main, parse_sweep_config
 from maup.tensors import BitMask, save_tensor
 
 
@@ -259,6 +259,61 @@ class TestAblateCommand:
         rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestBadValuesExitTwo:
+    """Values that pass argparse but no dataclass check give one error line, never a traceback."""
+
+    def assert_one_line_error(self, proc, command, *words):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"maup {command}: error:")
+        for word in words:
+            assert word in lines[0]
+
+    @pytest.mark.parametrize(
+        "flags, word",
+        [(("--seed", "-1"), "seed"), (("--gamma", "inf"), "gamma"), (("--gamma", "nan"), "gamma")],
+        ids=["negative-seed", "inf-gamma", "nan-gamma"],
+    )
+    def test_run(self, tmp_path, flags, word):
+        ph = make_episode_files(tmp_path)
+        proc = run_cli_process(run_args(ph, tmp_path / "out", *flags))
+        self.assert_one_line_error(proc, "run", word)
+        assert not (tmp_path / "out").exists()
+
+    def test_phantom_negative_seed(self, tmp_path):
+        proc = run_cli_process(["phantom", "--family", "disk", "--seed", "-1", "--out", str(tmp_path / "ph")])
+        self.assert_one_line_error(proc, "phantom", "seed")
+        assert not (tmp_path / "ph").exists()
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("families = disk\nseeds = -2..-1\n", ("seed",)),
+            ("families = disk\ngamma = inf\n", ("gamma",)),
+            ("families = disk\ngama = 7\n", ("unknown key", "gama")),
+            ("families = disk\nscale = 14\n", ("unknown key", "scale")),
+        ],
+        ids=["negative-seeds", "inf-gamma", "misspelt-key", "per-cell-key"],
+    )
+    def test_ablate(self, tmp_path, text, words):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        proc = run_cli_process(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        self.assert_one_line_error(proc, "ablate", *words)
+        assert not (tmp_path / "r.csv").exists()
+
+
+def test_flags_take_their_defaults_from_the_dataclasses():
+    run = build_parser().parse_args(run_args(Path("ph"), Path("out")))
+    assert _config_from_args(run) == maup.PromptConfig()
+    phantom = build_parser().parse_args(["phantom", "--family", "disk", "--out", "d"])
+    spec = maup.PhantomSpec("disk")
+    assert (phantom.seed, phantom.size, phantom.channels, phantom.contrast, phantom.noise) == (
+        spec.seed, spec.size, spec.channels, spec.contrast, spec.noise
+    )
 
 
 def test_import_loads_no_scipy():

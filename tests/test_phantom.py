@@ -4,7 +4,7 @@ from scipy import ndimage
 
 from maup.errors import SpecError
 from maup.phantom import FAMILIES, PhantomSpec, generate_phantom
-from maup.prototypes import masked_average_pool
+from maup.prototypes import regional_prototypes
 from maup.simmaps import cosine_map
 
 
@@ -21,6 +21,7 @@ class TestSpecValidation:
             {"contrast": 0.0},
             {"contrast": 1.5},
             {"noise": -0.1},
+            {"seed": -1},
         ],
     )
     def test_bad_parameters(self, kwargs):
@@ -62,7 +63,7 @@ class TestGeneration:
 
     def test_noise_free_organ_similarity_dominates_background(self):
         ph = generate_phantom(PhantomSpec(family="disk", contrast=1.0, noise=0.0, seed=5))
-        proto = masked_average_pool(ph.support_features, ph.support_mask)
+        proto = regional_prototypes(ph.support_features, ph.support_mask.bits.astype(np.int64) - 1)[0]
         sims = cosine_map(ph.query_features, proto).values
         organ = ph.query_gt.bits.astype(bool)
         assert sims[organ].min() > sims[~organ].max()
@@ -94,6 +95,6 @@ class TestFamilyGeometry:
         ph = generate_phantom(PhantomSpec(family="two-lobe", contrast=0.4, noise=0.0, seed=6))
         gt = ph.query_gt.bits.astype(bool)
         decoy = (ph.query_intensity.values >= 0.5) & ~gt
-        organ_proto = masked_average_pool(ph.support_features, ph.support_mask)
+        organ_proto = regional_prototypes(ph.support_features, ph.support_mask.bits.astype(np.int64) - 1)[0]
         sims = cosine_map(ph.query_features, organ_proto).values
         assert sims[gt].min() > sims[decoy].max()

@@ -32,11 +32,10 @@ from maup.pipeline import (
     run_episode,
     save_phantom,
     surrogate_segment,
-    to_grid_point,
-    to_image_xy,
 )
 from maup.prompting import MEAN_TAG, PromptConfig, generate_prompts
-from maup.simmaps import extract_candidates
+from maup.simmaps import candidate_mask
+from maup.surrogate import to_grid_point, to_image_xy
 from maup.tensors import BitMask, FeatureMap, PointRC, ScalarMap
 
 from oracles import flood_oracle
@@ -240,7 +239,7 @@ class TestExecuteEpisode:
         ps = res.prompts
         maps = [(res.mean, ps.tau_mean), (res.uncertainty, ps.tau_uncert), (res.negative, ps.tau_neg)]
         q_mean, q_unc, q_neg = (
-            {PointRC(*p) for p in extract_candidates(m, tau, "map").tolist()} for m, tau in maps
+            {PointRC(*p) for p in np.argwhere(candidate_mask(m, tau, "map")).tolist()} for m, tau in maps
         )
         for p in ps.positives:
             assert p.point in (q_mean if p.source == MEAN_TAG else q_unc)
@@ -745,7 +744,7 @@ class TestAblation:
     def test_cluster_error_fails_cells_not_the_sweep(self, monkeypatch):
         import maup.prompting as mp
 
-        def broken(coords, k, seed, max_iter=100, tol=1e-4):
+        def broken(coords, k, seed):
             raise mp.ClusterError("k-means objective increased")
 
         monkeypatch.setattr(mp, "lloyd_cluster", broken)
@@ -769,6 +768,13 @@ class TestAblation:
             ablation_run([], [(True, True, True)])
         with pytest.raises(ConfigError):
             ablation_run([PhantomSpec(family="disk")], [])
+
+    def test_negative_seed_fails_before_any_cell(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pl, "generate_phantom", lambda spec: calls.append(spec))
+        with pytest.raises(ConfigError, match="seed"):
+            ablation_run([PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, -1])
+        assert calls == []
 
     def test_export_bounds_guard(self):
         from maup.prompting import PromptPoint, PromptSet
@@ -798,7 +804,7 @@ class TestPoolingCalls:
     def count_pools(self, monkeypatch):
         """Count calls of every pooling entry point, on maup.pipeline and on maup.prototypes."""
         counts = {}
-        for name in ("regional_prototypes", "periphery_prototype", "masked_average_pool"):
+        for name in ("regional_prototypes", "periphery_prototype"):
             real = getattr(pp, name)
             counts[name] = 0
 
@@ -815,14 +821,14 @@ class TestPoolingCalls:
         ph = generate_phantom(PhantomSpec(family="disk", contrast=0.4, noise=0.1, seed=2))
         res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, PromptConfig(seed=2))
         assert res.negative is not None
-        assert counts == {"regional_prototypes": 1, "periphery_prototype": 0, "masked_average_pool": 0}
+        assert counts == {"regional_prototypes": 1, "periphery_prototype": 0}
 
     def test_one_pool_per_family_nf_and_seed(self, monkeypatch):
         counts = self.count_pools(monkeypatch)
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
         report = ablation_run(families, SWEEP_TOGGLES, nf_values=[1, 5, 15, 30, 60], seeds=[0])
         assert len(report.rows) == 60 and all(r.status == "ok" for r in report.rows)
-        assert counts == {"regional_prototypes": 20, "periphery_prototype": 0, "masked_average_pool": 0}
+        assert counts == {"regional_prototypes": 20, "periphery_prototype": 0}
 
 
 class TestEndToEnd:

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 from unittest import mock
 
@@ -18,7 +19,6 @@ from maup.errors import (
 from maup.prompting import (
     MEAN_TAG,
     UNCERTAINTY_TAG,
-    ComplexityScore,
     PromptConfig,
     PromptPoint,
     PromptSet,
@@ -32,7 +32,7 @@ from maup.prompting import (
     select_prompts,
 )
 from maup.regions import area_and_perimeter
-from maup.simmaps import extract_candidates, percentile_threshold
+from maup.simmaps import candidate_mask, percentile_threshold
 from maup.tensors import BitMask, PointRC, ScalarMap
 
 from oracles import candidates_oracle, two_means_oracle
@@ -115,9 +115,7 @@ def complexity_reference(mean, tau_mean):
         raise EmptyCandidateError("no pixel reaches the mean threshold")
     area, perimeter = area_and_perimeter(BitMask(bits))
     h, w = mean.height, mean.width
-    area_norm = area / (h * w)
-    perimeter_norm = perimeter / (2 * (h + w))
-    return ComplexityScore(area, perimeter, area_norm, perimeter_norm, area_norm + perimeter_norm)
+    return area / (h * w) + perimeter / (2 * (h + w))
 
 
 def kmeans_reference(points, k, seed):
@@ -145,7 +143,7 @@ def positive_reference(mean, uncert, cfg, seed):
     if cfg.mmp:
         tau_mean = percentile_reference(mean, cfg.percentile)
         q_mean = candidates_reference(mean, tau_mean, "mean")
-        k = adaptive_k(complexity_reference(mean, tau_mean), cfg.gamma, cfg.n_min, cfg.n_max)
+        k = adaptive_k(complexity_reference(mean, tau_mean), cfg)
         for p in kmeans_reference(q_mean, k, rng):
             out.append(PromptPoint(p, MEAN_TAG))
             taken.add(p)
@@ -254,27 +252,23 @@ def hot_map(h, w, hot_pixels, hot=1.0, cold=0.0):
 class TestComplexity:
     def test_single_hot_pixel_in_ten_frame(self):
         m = hot_map(10, 10, [(4, 4)])
-        score = complexity(m.values >= 0.5)
-        assert score.area == 1 and score.perimeter == 4
-        assert score.area_norm == pytest.approx(0.01)
-        assert score.perimeter_norm == pytest.approx(0.1)
-        assert score.c == pytest.approx(0.11)
+        assert area_and_perimeter(BitMask((m.values >= 0.5).astype(np.uint8))) == (1, 4)
+        assert complexity(m.values >= 0.5) == pytest.approx(1 / 100 + 4 / 40)
 
     def test_full_frame(self):
         m = scalar(np.ones((6, 6)))
-        score = complexity(m.values >= 0.5)
-        assert score.area_norm == pytest.approx(1.0)
+        assert complexity(m.values >= 0.5) == pytest.approx(1.0 + 24 / 24)  # area 36/36, perimeter 24/24
 
     def test_bigger_square_scores_higher(self):
         small = hot_map(10, 10, [(y, x) for y in (4, 5) for x in (4, 5)])
         big = hot_map(10, 10, [(y, x) for y in range(3, 7) for x in range(3, 7)])
-        assert complexity(big.values >= 0.5).c > complexity(small.values >= 0.5).c
+        assert complexity(big.values >= 0.5) > complexity(small.values >= 0.5)
 
     def test_nested_solid_squares_are_monotone(self):
         prev = None
         for k in range(1, 8):
             m = hot_map(12, 12, [(y, x) for y in range(2, 2 + k) for x in range(2, 2 + k)])
-            c = complexity(m.values >= 0.5).c
+            c = complexity(m.values >= 0.5)
             if prev is not None:
                 assert c > prev
             prev = c
@@ -297,15 +291,38 @@ class TestAdaptiveK:
         ],
     )
     def test_clamped_floor(self, gamma, c, expected):
-        score = ComplexityScore(area=0, perimeter=0, area_norm=c, perimeter_norm=0.0, c=c)
-        assert adaptive_k(score, gamma, 3, 10) == expected
+        assert adaptive_k(c, PromptConfig(gamma=gamma, n_min=3, n_max=10)) == expected
 
     def test_bad_bounds(self):
-        score = ComplexityScore(area=0, perimeter=0, area_norm=1.0, perimeter_norm=0.0, c=1.0)
-        with pytest.raises(ConfigError):
-            adaptive_k(score, 5.0, 10, 3)
-        with pytest.raises(ConfigError):
-            adaptive_k(score, -1.0, 3, 10)
+        # the config that adaptive_k reads its bounds and gamma from rejects them
+        with pytest.raises(ConfigError, match="exceeds"):
+            PromptConfig(n_min=10, n_max=3)
+        with pytest.raises(ConfigError, match="gamma"):
+            PromptConfig(gamma=-1.0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ConfigError, match="gamma"):
+            PromptConfig(gamma=gamma)
+
+    @pytest.mark.parametrize("c", [0.0, 1e-300, 0.5, 2.0, 4.0])
+    def test_product_past_the_float_range_clamps_to_n_max(self, c):
+        cfg = PromptConfig(gamma=1e308, n_min=2, n_max=7)
+        expected = 2 if c * 1e308 < 2 else 7  # 2.0 * 1e308 and 4.0 * 1e308 are inf
+        assert adaptive_k(c, cfg) == expected
+
+    def test_huge_gamma_on_a_noise_map_gives_n_max(self):
+        rng = np.random.default_rng(0)
+        noise = ScalarMap(rng.standard_normal((32, 32)).astype(np.float32))
+        cfg = PromptConfig(mmp=True, ump=False, np=False, gamma=1e308, percentile=50)
+        _, _, k, _, _ = positive_prompts(noise, noise, cfg, 0)
+        assert k == cfg.n_max
+
+    @pytest.mark.parametrize("gamma", [1e-300, 0.3, 5.0, 1e6, 1e300])
+    @pytest.mark.parametrize("c", [0.0, 0.11, 1.37, 2.0])
+    def test_same_integer_as_the_unclamped_floor(self, gamma, c):
+        cfg = PromptConfig(gamma=gamma)
+        assert adaptive_k(c, cfg) == max(cfg.n_min, min(cfg.n_max, int(np.floor(gamma * c))))
 
 
 class TestKMeans:
@@ -479,7 +496,8 @@ class TestKMeans:
         monkeypatch.setattr(mp, "_assign", counted)
         monkeypatch.setattr(mp, "_kmeans_pp_init", lambda coords, k, rng: coords[[0, 2]].copy())
         coords = np.array([[0.0, 0.0], [0.0, 2.0], [9.0, 9.0], [9.0, 11.0]])
-        centers, labels, _, _, w1 = lloyd_cluster(coords, 2, 0, tol=-1.0)
+        monkeypatch.setattr(mp, "LLOYD_TOL", -1.0)  # no center movement ends the loop
+        centers, labels, _, _, w1 = lloyd_cluster(coords, 2, 0)
         assert len(rounds) == 2  # the initial assignment and one update
         assert centers.tolist() == [[0.0, 1.0], [9.0, 10.0]] and w1 == 4.0
 
@@ -513,7 +531,7 @@ class TestPositivePrompts:
         mean_pts, unc_pts, _, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 1)
         tau = percentile_threshold(mean, cfg.percentile)
         assert (tau_mean, tau_uncert) == (tau, None)
-        q_mean = set(as_points(extract_candidates(mean, tau, "mean")))
+        q_mean = set(as_points(np.argwhere(candidate_mask(mean, tau, "mean"))))
         assert len(mean_pts) and set(as_points(mean_pts)) <= q_mean
         assert unc_pts.shape == (0, 2)
 
@@ -523,7 +541,7 @@ class TestPositivePrompts:
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=3)
         mean_pts, unc_pts, k_used, _, _ = positive_prompts(mean, uncert, cfg, 3)
         tau = percentile_threshold(mean, cfg.percentile)
-        expected_k = adaptive_k(complexity(mean.values >= tau), cfg.gamma, cfg.n_min, cfg.n_max)
+        expected_k = adaptive_k(complexity(mean.values >= tau), cfg)
         assert len(mean_pts) == k_used == expected_k
         assert len(unc_pts) == 2
         assert len(set(as_points(mean_pts) + as_points(unc_pts))) == k_used + 2
@@ -622,7 +640,7 @@ class TestNegativePrompts:
         out, tau_neg = negative_prompts(neg, positives, 3, 2)
         tau = percentile_threshold(neg, 95.0)
         assert tau_neg == tau
-        q_neg = set(as_points(extract_candidates(neg, tau, "negative")))
+        q_neg = set(as_points(np.argwhere(candidate_mask(neg, tau, "negative"))))
         assert len(out) and set(as_points(out)) <= q_neg
 
 
@@ -707,6 +725,11 @@ class TestGeneratePrompts:
         ):
             with pytest.raises(ConfigError):
                 PromptConfig(**bad)
+
+    def test_negative_seed_is_a_config_error(self):
+        # numpy's SeedSequence would raise an untyped ValueError on it later
+        with pytest.raises(ConfigError, match="seed"):
+            PromptConfig(seed=-1)
 
 
 class TestComputedOnce:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from maup.errors import EmptyMaskError, EmptyPeripheryError, ShapeError
 from maup.pipeline import prepare_support
 from maup.prompting import PromptConfig
-from maup.prototypes import masked_average_pool, periphery_prototype, regional_prototypes
+from maup.prototypes import periphery_prototype, regional_prototypes
 from maup.regions import StructuringElement, farthest_point_seeds, periphery_mask, voronoi_partition
 from maup.tensors import BitMask, FeatureMap
 
@@ -22,53 +22,58 @@ def random_case(seed, c=8, h=16, w=16, density=0.3):
     return FeatureMap(data), BitMask(bits)
 
 
+def pool(f, m):
+    """Mean feature vector over the set pixels of a mask: the mask pooled as label 0."""
+    return regional_prototypes(f, m.bits.astype(np.int64) - 1)[0]
+
+
 class TestMaskedAveragePool:
     def test_constant_map(self):
         f = FeatureMap(np.full((4, 3, 3), 3.0, dtype=np.float32))
         m = BitMask(np.eye(3, dtype=np.uint8))
-        p = masked_average_pool(f, m)
+        p = pool(f, m)
         assert np.allclose(p, 3.0)
 
     def test_top_row_mean(self):
         f = FeatureMap(np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32))
         m = BitMask(np.array([[1, 1], [0, 0]], dtype=np.uint8))
-        p = masked_average_pool(f, m)
+        p = pool(f, m)
         assert p.tolist() == [1.5]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_loop_oracle(self, seed):
         f, m = random_case(seed)
-        p = masked_average_pool(f, m)
+        p = pool(f, m)
         expected = pool_oracle(f.data, m.bits)
         assert np.allclose(p, expected, rtol=1e-6, atol=1e-6)
 
     def test_empty_mask(self):
         f, _ = random_case(0)
         with pytest.raises(EmptyMaskError):
-            masked_average_pool(f, BitMask(np.zeros((16, 16), dtype=np.uint8)))
+            pool(f, BitMask(np.zeros((16, 16), dtype=np.uint8)))
 
     def test_shape_mismatch(self):
         f, _ = random_case(0)
         with pytest.raises(ShapeError):
-            masked_average_pool(f, BitMask(np.ones((4, 4), dtype=np.uint8)))
+            pool(f, BitMask(np.ones((4, 4), dtype=np.uint8)))
 
     def test_linearity(self):
         f, m = random_case(4)
         g, _ = random_case(5)
         combo = FeatureMap(2.0 * f.data + 0.5 * g.data)
-        lhs = masked_average_pool(combo, m)
-        rhs = 2.0 * masked_average_pool(f, m) + 0.5 * masked_average_pool(g, m)
+        lhs = pool(combo, m)
+        rhs = 2.0 * pool(f, m) + 0.5 * pool(g, m)
         assert np.allclose(lhs, rhs, atol=1e-6)
 
     def test_partition_weighted_mean(self):
         f, m = random_case(6, density=0.5)
         seeds = farthest_point_seeds(m, 4, 0)
         labels = voronoi_partition(m, seeds)
-        whole = masked_average_pool(f, m)
+        whole = pool(f, m)
         weighted = np.zeros_like(whole)
         for k in range(len(seeds)):
             region = BitMask(labels == k)
-            weighted += region.foreground_count * masked_average_pool(f, region)
+            weighted += region.foreground_count * pool(f, region)
         weighted /= m.foreground_count
         assert np.allclose(whole, weighted, atol=1e-6)
 
@@ -79,7 +84,7 @@ class TestRegionalPrototypes:
         labels = voronoi_partition(m, farthest_point_seeds(m, 1, 0))
         ps = regional_prototypes(f, labels)
         assert ps.shape == (1, f.channels)
-        assert np.array_equal(ps[0], masked_average_pool(f, m))
+        assert np.array_equal(ps[0], pool(f, m))
 
     def test_constant_map_gives_identical_prototypes(self):
         f = FeatureMap(np.full((2, 8, 8), 1.25, dtype=np.float32))
@@ -97,7 +102,7 @@ class TestRegionalPrototypes:
         ps = regional_prototypes(f, labels)
         assert ps.shape == (n, f.channels) and ps.dtype == np.float64
         for i in range(n):
-            assert np.array_equal(ps[i], masked_average_pool(f, BitMask(labels == i)))
+            assert np.array_equal(ps[i], pool(f, BitMask(labels == i)))
 
 
     def test_label_map_must_fit_and_use_every_label(self):
@@ -131,11 +136,16 @@ class TestPeripheryPrototype:
         # ring pixels: (1,2) (3,2) (2,1) (2,3) -> columns 2, 2, 1, 3
         assert periphery_prototype(f, ring).tolist() == [2.0]
 
-    def test_equals_masked_average_pool(self):
+    def test_equals_the_band_pooled_as_one_label(self):
         f, m = random_case(9)
         ring = periphery_mask(m, StructuringElement.disk(2))
-        if ring.foreground_count:
-            assert np.array_equal(periphery_prototype(f, ring), masked_average_pool(f, ring))
+        assert ring.foreground_count
+        assert np.array_equal(periphery_prototype(f, ring), pool(f, ring))
+
+    def test_shape_mismatch(self):
+        f, _ = random_case(0)
+        with pytest.raises(ShapeError):
+            periphery_prototype(f, BitMask(np.ones((4, 4), dtype=np.uint8)))
 
     def test_empty_periphery(self):
         f = FeatureMap(np.zeros((1, 3, 3), dtype=np.float32))
@@ -155,7 +165,7 @@ def assert_pools_bit_exact(f, labels):
     want = pool_reference(f.data, labels)
     assert regional_prototypes(f, labels).tobytes() == want.tobytes()
     for k in range(len(want)):
-        assert masked_average_pool(f, BitMask(labels == k)).tobytes() == want[k].tobytes()
+        assert periphery_prototype(f, BitMask(labels == k)).tobytes() == want[k].tobytes()
 
 
 class TestBitExactPooling:

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from maup.errors import ConfigError, EmptyCandidateError, EmptyStackError, ShapeError
 from maup.simmaps import (
     cosine_map,
-    extract_candidates,
+    candidate_mask,
     mean_map,
     percentile_threshold,
     similarity_stack,
@@ -302,6 +302,11 @@ class TestPercentile:
         m = ScalarMap(np.asarray(vals, dtype=np.float32))
         want = float(np.percentile(m.values.astype(np.float64), pct))
         assert np.float64(percentile_threshold(m, pct)).tobytes() == np.float64(want).tobytes()
+
+
+def extract_candidates(m, tau, tag):
+    """The pixels of ``candidate_mask`` as an N x 2 (row, col) array, row-major."""
+    return np.argwhere(candidate_mask(m, tau, tag))
 
 
 class TestExtractCandidates:
