@@ -21,7 +21,6 @@ from .pipeline import (
     AblationRow,
     EpisodeResult,
     EpisodeSpec,
-    ExportPoint,
     PromptExport,
     Support,
     ablation_run,
@@ -36,7 +35,6 @@ from .pipeline import (
 )
 from .prompting import (
     PromptConfig,
-    PromptPoint,
     PromptSet,
     adaptive_k,
     complexity,
@@ -66,7 +64,6 @@ from .simmaps import (
 from .tensors import (
     BitMask,
     FeatureMap,
-    PointRC,
     ScalarMap,
     load_tensor,
     save_tensor,

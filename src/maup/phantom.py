@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .regions import StructuringElement, dilate
+from .regions import StructuringElement, periphery_mask
 from .tensors import BitMask, FeatureMap, ScalarMap
 
 FAMILIES = ("disk", "ellipse", "two-lobe", "annulus")
@@ -50,8 +50,8 @@ class PhantomSpec:
             raise SpecError(f"need >= 3 channels for the cluster basis, got {self.channels}")
         if not 0.0 < self.contrast <= 1.0:
             raise SpecError(f"contrast must be in (0, 1], got {self.contrast}")
-        if self.noise < 0.0:
-            raise SpecError(f"noise must be >= 0, got {self.noise}")
+        if not 0.0 <= self.noise < math.inf:
+            raise SpecError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
 
@@ -154,9 +154,10 @@ def generate_phantom(spec: PhantomSpec) -> Phantom:
     if not s_organ.any() or not q_organ.any():
         raise SpecError("organ clipped to an empty mask; loosen the geometry")
 
+    support_mask, query_gt = BitMask(s_organ.astype(np.uint8)), BitMask(q_organ.astype(np.uint8))
     se = StructuringElement.disk(_BAND_RADIUS)
-    s_band = dilate(BitMask(s_organ.astype(np.uint8)), se).bits.astype(bool) & ~s_organ
-    q_band = dilate(BitMask(q_organ.astype(np.uint8)), se).bits.astype(bool) & ~q_organ
+    s_band = periphery_mask(support_mask, se).bits == 1
+    q_band = periphery_mask(query_gt, se).bits == 1
 
     support_features = _paint_features(rng, spec, basis, s_organ, s_decoy, s_band)
     query_features = _paint_features(rng, spec, basis, q_organ, q_decoy, q_band)
@@ -165,8 +166,8 @@ def generate_phantom(spec: PhantomSpec) -> Phantom:
     return Phantom(
         spec=spec,
         support_features=support_features,
-        support_mask=BitMask(s_organ.astype(np.uint8)),
+        support_mask=support_mask,
         query_features=query_features,
-        query_gt=BitMask(q_organ.astype(np.uint8)),
+        query_gt=query_gt,
         query_intensity=ScalarMap(intensity),
     )

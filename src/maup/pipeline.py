@@ -10,6 +10,7 @@ synthetic phantoms with the surrogate segmenter.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -34,8 +35,8 @@ from .regions import (
     voronoi_partition,
 )
 from .simmaps import mean_map, similarity_stack, uncertainty_map, write_pgm
-from .surrogate import ExportPoint, PromptExport, build_export, dice, surrogate_segment
-from .tensors import BitMask, FeatureMap, PointRC, ScalarMap, load_tensor, save_tensor
+from .surrogate import PromptExport, build_export, dice, surrogate_segment
+from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor, save_tensor
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def prepare_support(
     return _prepare(support_features, support_mask, seeds, band)
 
 
-def _seeds(features: FeatureMap, mask: BitMask, n: int, fps_seed) -> list[PointRC]:
+def _seeds(features: FeatureMap, mask: BitMask, n: int, fps_seed) -> np.ndarray:
     """Farthest-point seeds for n regions (fewer on a smaller foreground) of a checked support."""
     if (features.height, features.width) != (mask.height, mask.width):
         raise ShapeError("support features and support mask disagree on H x W")
@@ -94,7 +95,7 @@ def _seeds(features: FeatureMap, mask: BitMask, n: int, fps_seed) -> list[PointR
     return farthest_point_seeds(mask, n, fps_seed)
 
 
-def _prepare(features: FeatureMap, mask: BitMask, seeds: list[PointRC], band: BitMask | None) -> Support:
+def _prepare(features: FeatureMap, mask: BitMask, seeds: np.ndarray, band: BitMask | None) -> Support:
     labels = voronoi_partition(mask, seeds)
     if band is None:
         return Support(labels, regional_prototypes(features, labels), None)
@@ -260,6 +261,8 @@ def ablation_run(
         raise ConfigError("need at least one family and one toggle row")
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"sweep seeds must be >= 0, got {min(seeds)}")
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     base = base_config if base_config is not None else PromptConfig(scale=1)
     nfs = list(nf_values) if nf_values else [base.n_regions]
 
@@ -305,10 +308,12 @@ def _score_group(ph: Phantom, cells, n_seeds, streams, memo: dict, threshold: fl
     off = [c for c in cells if not c[1].np]
     on = [c for c in cells if c[1].np]
     f, m, disk = ph.support_features, ph.support_mask, StructuringElement.disk(cells[0][1].radius)
-    try:  # `get(k) or setdefault(k, ...)` computes a memo entry once (again if it raised)
-        seeds = memo.get("seeds") or memo.setdefault("seeds", _seeds(f, m, n_seeds, fps_seed))
-        band = (memo.get("band") or memo.setdefault("band", periphery_mask(m, disk))) if on else None
-        support = _prepare(f, m, seeds[: cells[0][1].n_regions], band)
+    try:  # a memo entry is computed once (again if it raised)
+        if "seeds" not in memo:
+            memo["seeds"] = _seeds(f, m, n_seeds, fps_seed)
+        if on and "band" not in memo:
+            memo["band"] = periphery_mask(m, disk)
+        support = _prepare(f, m, memo["seeds"][: cells[0][1].n_regions], memo["band"] if on else None)
     except MaupError as e:  # the failure may be the band's, which fails only the np-on cells
         rest = _score_group(ph, off, n_seeds, streams, memo, threshold) if on and off else _failed(off, e)
         return _failed(on, e) + rest
@@ -327,8 +332,9 @@ def _score_group(ph: Phantom, cells, n_seeds, streams, memo: dict, threshold: fl
         for key, cfg in row_set:
             try:
                 pk = (mean, uncert, cfg.mmp, cfg.ump)
-                pos = chosen.get(pk) or chosen.setdefault(pk, positive_prompts(mean, uncert, cfg, pos_seed))
-                prompts = select_prompts(pos, neg_map, cfg, neg_seed)
+                if pk not in chosen:
+                    chosen[pk] = positive_prompts(mean, uncert, cfg, pos_seed)
+                prompts = select_prompts(chosen[pk], neg_map, cfg, neg_seed)
                 export = build_export(prompts, len(sup.protos), mean.height, mean.width)
                 d = dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
                 rows.append(AblationRow(*key, d, "ok"))

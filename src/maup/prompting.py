@@ -17,15 +17,14 @@ draw order, so identical inputs and seed give identical prompts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ClusterError, ConfigError, EmptyCandidateError, OverlapError, ShapeError
 from .regions import area_and_perimeter
 from .simmaps import candidate_mask, percentile_threshold
-from .tensors import BitMask, PointRC, ScalarMap
+from .tensors import BitMask, ScalarMap
 
 MEAN_TAG = "mean-centroid"
 UNCERTAINTY_TAG = "uncertainty"
@@ -69,19 +68,17 @@ class PromptConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-class PromptPoint(NamedTuple):
-    """A positive prompt pixel with its provenance tag."""
-
-    point: PointRC
-    source: str  # MEAN_TAG or UNCERTAINTY_TAG
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PromptSet:
-    """Everything one prompting run selected, plus the thresholds it used."""
+    """Everything one prompting run selected, plus the thresholds it used.
 
-    positives: tuple[PromptPoint, ...]
-    negatives: tuple[PointRC, ...]
+    Points are M x 2 int64 (row, col) grid arrays. ``sources[i]`` names the path
+    that chose positive row i: MEAN_TAG rows first, then UNCERTAINTY_TAG rows.
+    """
+
+    positives: np.ndarray
+    sources: tuple[str, ...]
+    negatives: np.ndarray
     k_used: int
     seed: int
     scale: int
@@ -91,8 +88,8 @@ class PromptSet:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        pos = {p.point for p in self.positives}
-        if pos & set(self.negatives):
+        negatives = self.negatives.tolist()
+        if negatives and set(map(tuple, self.positives.tolist())) & set(map(tuple, negatives)):
             raise OverlapError("positive and negative prompts overlap")
 
 
@@ -219,7 +216,7 @@ def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
 
 def positive_prompts(
     mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig, seed
-) -> tuple[np.ndarray, np.ndarray, int, float | None, float | None]:
+) -> PromptSet:
     """Select positive prompts from the enabled paths.
 
     The mean path contributes k cluster centers of the thresholded mean map;
@@ -228,9 +225,8 @@ def positive_prompts(
     to the smallest unused row-major candidates. With fewer than 2 usable
     candidates the uncertainty path contributes nothing.
 
-    Returns (mean points, uncertainty points, k, tau_mean, tau_uncert) with
-    M x 2 int64 (row, col) point arrays; a path that is off gives no points,
-    and k 0 or a threshold None.
+    Returns a :class:`PromptSet` without negatives; a path that is off gives
+    no points, and k 0 or a threshold None.
     """
     if not (cfg.mmp or cfg.ump):
         raise ConfigError("at least one positive path (mmp or ump) must be enabled")
@@ -263,7 +259,11 @@ def positive_prompts(
         picks = [divmod(i, uncert.width) for i in taken[len(mean_pts) :]]
         uncert_pts = np.array(picks, dtype=np.int64).reshape(-1, 2)
 
-    return mean_pts, uncert_pts, k, tau_mean, tau_uncert
+    sources = (MEAN_TAG,) * len(mean_pts) + (UNCERTAINTY_TAG,) * len(uncert_pts)
+    return PromptSet(
+        np.concatenate([mean_pts, uncert_pts]), sources, np.empty((0, 2), dtype=np.int64),
+        k_used=k, seed=cfg.seed, scale=cfg.scale, tau_mean=tau_mean, tau_uncert=tau_uncert,
+    )
 
 
 def negative_prompts(
@@ -309,31 +309,13 @@ def generate_prompts(
     return select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg_map, cfg, neg_seed)
 
 
-def select_prompts(positives: tuple, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
-    """:func:`generate_prompts` from :func:`positive_prompts`' tuple; its inputs are only read."""
-    mean_pts, unc_pts, k_used, tau_mean, tau_unc = positives
-
-    neg_pts = np.empty((0, 2), dtype=np.int64)
-    tau_neg = None
-    flags: list[str] = []
+def select_prompts(ps: PromptSet, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
+    """:func:`generate_prompts` from :func:`positive_prompts`' set ``ps``, which is only read."""
+    neg_pts, tau_neg, flags = np.empty((0, 2), dtype=np.int64), None, ()
     if cfg.np and neg_map is None:
-        flags.append("np-disabled-empty-periphery")
+        flags = ("np-disabled-empty-periphery",)
     elif cfg.np:
-        neg_pts, tau_neg = negative_prompts(
-            neg_map, np.concatenate([mean_pts, unc_pts]), cfg.n_neg, neg_seed, cfg.percentile
-        )
+        neg_pts, tau_neg = negative_prompts(neg_map, ps.positives, cfg.n_neg, neg_seed, cfg.percentile)
         if not len(neg_pts):
-            flags.append("np-exhausted-by-positives")
-
-    return PromptSet(
-        positives=tuple(PromptPoint(PointRC(r, c), MEAN_TAG) for r, c in mean_pts.tolist())
-        + tuple(PromptPoint(PointRC(r, c), UNCERTAINTY_TAG) for r, c in unc_pts.tolist()),
-        negatives=tuple(PointRC(r, c) for r, c in neg_pts.tolist()),
-        k_used=k_used,
-        seed=cfg.seed,
-        scale=cfg.scale,
-        tau_mean=tau_mean,
-        tau_uncert=tau_unc,
-        tau_neg=tau_neg,
-        flags=tuple(flags),
-    )
+            flags = ("np-exhausted-by-positives",)
+    return replace(ps, negatives=neg_pts, tau_neg=tau_neg, flags=flags)

@@ -16,7 +16,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConfigError, EmptyMaskError, SeedError
-from .tensors import BitMask, PointRC
+from .tensors import BitMask
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,13 @@ class StructuringElement:
         return tuple((frozenset(range(-half, half + 1)), dys) for half, dys in by_half.items())
 
 
-def farthest_point_seeds(fg: BitMask, n: int, seed) -> list[PointRC]:
+def farthest_point_seeds(fg: BitMask, n: int, seed) -> np.ndarray:
     """Pick up to ``n`` well-spread foreground pixels.
 
     The first pixel is drawn uniformly at random (seeded); each later pixel
     maximizes its Euclidean distance to the already chosen set, breaking ties
-    toward the smallest (row, col). Returns min(n, foreground size) points.
+    toward the smallest (row, col). Returns min(n, foreground size) points as
+    an n x 2 int64 (row, col) array, in the order they were chosen.
     """
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
@@ -70,26 +71,28 @@ def farthest_point_seeds(fg: BitMask, n: int, seed) -> list[PointRC]:
         nxt = int(np.argmax(d2))  # first max = smallest (row, col) among ties
         chosen.append(nxt)
         d2 = np.minimum(d2, ((coords - coords[nxt]) ** 2).sum(axis=1))
-    return [PointRC(int(r), int(c)) for r, c in coords[chosen]]
+    return coords[chosen]
 
 
-def voronoi_partition(fg: BitMask, seeds: list[PointRC]) -> np.ndarray:
+def voronoi_partition(fg: BitMask, seeds) -> np.ndarray:
     """Label each foreground pixel with the index of its nearest seed (squared Euclidean).
 
-    Returns an H x W int64 label map holding -1 off the foreground. Ties go
-    to the seed with the lowest index. Every seed claims at least itself, so
-    every label in [0, len(seeds)) occurs.
+    ``seeds`` is an n x 2 (row, col) integer array or a list of pairs. Returns
+    an H x W int64 label map holding -1 off the foreground. Ties go to the
+    seed with the lowest index. Every seed claims at least itself, so every
+    label in [0, len(seeds)) occurs.
     """
-    if not seeds:
+    seed_arr = np.asarray(seeds, dtype=np.int64)
+    pairs = seed_arr.tolist()
+    if not pairs:
         raise SeedError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
+    if len(set(map(tuple, pairs))) != len(pairs):
         raise SeedError("seeds must be distinct")
-    for s in seeds:
-        if not (0 <= s.row < fg.height and 0 <= s.col < fg.width) or fg.bits[s.row, s.col] != 1:
-            raise SeedError(f"seed {s} lies outside the foreground")
+    for r, c in pairs:
+        if not (0 <= r < fg.height and 0 <= c < fg.width) or fg.bits[r, c] != 1:
+            raise SeedError(f"seed ({r}, {c}) lies outside the foreground")
     inside = fg.bits == 1
     coords = np.argwhere(inside)
-    seed_arr = np.asarray(seeds, dtype=np.int64)
     d2 = ((coords[None, :, :] - seed_arr[:, None, :]) ** 2).sum(axis=2)
     labels = np.full(fg.bits.shape, -1, dtype=np.int64)
     labels[inside] = np.argmin(d2, axis=0)  # first min = lowest seed index

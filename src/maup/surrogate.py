@@ -10,30 +10,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
 from .prompting import PromptSet
-from .tensors import BitMask, PointRC, ScalarMap
+from .tensors import BitMask, ScalarMap
 
 
-class ExportPoint(NamedTuple):
-    """One exported prompt in image coordinates."""
-
-    x: int
-    y: int
-    label: int  # 1 positive, 0 negative
-    source: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PromptExport:
-    """Prompt hand-off record; serializes to canonical JSON."""
+    """Prompt hand-off record; serializes to canonical JSON.
 
-    positives: tuple[ExportPoint, ...]
-    negatives: tuple[ExportPoint, ...]
+    Points are N x 2 int64 image ``(x, y)`` arrays (label 1 positives, label 0
+    negatives); ``sources`` tags the positive rows as the :class:`PromptSet` did.
+    """
+
+    positives: np.ndarray
+    sources: tuple[str, ...]
+    negatives: np.ndarray
     k_used: int
     tau_mean: float | None
     tau_uncert: float | None
@@ -46,12 +41,11 @@ class PromptExport:
     def to_dict(self) -> dict:
         return {
             "positives": [
-                {"x": p.x, "y": p.y, "label": p.label, "source": p.source}
-                for p in self.positives
+                {"x": x, "y": y, "label": 1, "source": source}
+                for (x, y), source in zip(self.positives.tolist(), self.sources)
             ],
             "negatives": [
-                {"x": p.x, "y": p.y, "label": p.label, "source": p.source}
-                for p in self.negatives
+                {"x": x, "y": y, "label": 0, "source": "negative"} for x, y in self.negatives.tolist()
             ],
             "k_used": self.k_used,
             "tau_mean": self.tau_mean,
@@ -67,32 +61,26 @@ class PromptExport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def to_image_xy(p: PointRC, scale: int) -> tuple[int, int]:
-    """Grid pixel -> image pixel, center-of-patch convention."""
-    return p.col * scale + scale // 2, p.row * scale + scale // 2
+def to_image_xy(points: np.ndarray, scale: int) -> np.ndarray:
+    """N x 2 grid (row, col) -> N x 2 image (x, y), center-of-patch convention."""
+    return points[:, ::-1] * scale + scale // 2
 
 
-def to_grid_point(x: int, y: int, scale: int) -> PointRC:
+def to_grid_point(xy: np.ndarray, scale: int) -> np.ndarray:
     """Inverse of :func:`to_image_xy` for coordinates it produced."""
-    return PointRC((y - scale // 2) // scale, (x - scale // 2) // scale)
+    return (xy[:, ::-1] - scale // 2) // scale
 
 
 def build_export(ps: PromptSet, n_regions: int, height: int, width: int) -> PromptExport:
     """Scale a prompt set out to image coordinates."""
-    positives = []
-    for pp in ps.positives:
-        x, y = to_image_xy(pp.point, ps.scale)
-        positives.append(ExportPoint(x=x, y=y, label=1, source=pp.source))
-    negatives = []
-    for p in ps.negatives:
-        x, y = to_image_xy(p, ps.scale)
-        negatives.append(ExportPoint(x=x, y=y, label=0, source="negative"))
-    for pt in positives + negatives:
-        if not (0 <= pt.x < width * ps.scale and 0 <= pt.y < height * ps.scale):
-            raise ShapeError(f"exported prompt {pt} escapes the scaled frame")
+    positives, negatives = to_image_xy(ps.positives, ps.scale), to_image_xy(ps.negatives, ps.scale)
+    for x, y in positives.tolist() + negatives.tolist():
+        if not (0 <= x < width * ps.scale and 0 <= y < height * ps.scale):
+            raise ShapeError(f"exported prompt (x={x}, y={y}) escapes the scaled frame")
     return PromptExport(
-        positives=tuple(positives),
-        negatives=tuple(negatives),
+        positives=positives,
+        sources=ps.sources,
+        negatives=negatives,
         k_used=ps.k_used,
         tau_mean=ps.tau_mean,
         tau_uncert=ps.tau_uncert,
@@ -115,13 +103,12 @@ def surrogate_segment(prompts: PromptExport, gt_like: ScalarMap, threshold: floa
     h, w = gt_like.height, gt_like.width
     stride = w + 2  # a closed one-pixel border keeps the neighbours i +- 1, i +- stride in range
 
-    def flat(points):
+    def flat(xy):
         out = []
-        for p in points:
-            g = to_grid_point(p.x, p.y, prompts.scale)
-            if not (0 <= g.row < h and 0 <= g.col < w):
-                raise ShapeError(f"prompt {p} is out of bounds for a {h}x{w} map")
-            out.append((g.row + 1) * stride + g.col + 1)
+        for (x, y), (r, c) in zip(xy.tolist(), to_grid_point(xy, prompts.scale).tolist()):
+            if not (0 <= r < h and 0 <= c < w):
+                raise ShapeError(f"prompt (x={x}, y={y}) is out of bounds for a {h}x{w} map")
+            out.append((r + 1) * stride + c + 1)
         return out
 
     pos = flat(prompts.positives)

@@ -26,23 +26,16 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, MaupError
 
 MAGIC = b"MAUP"
 VERSION = 1
 DTYPE_F32 = 1
 DTYPE_U8 = 2
-
-
-class PointRC(NamedTuple):
-    """Integer pixel coordinate: row (y), then col (x)."""
-
-    row: int
-    col: int
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -205,19 +198,16 @@ def load_tensor(path, expect: type | None = None) -> Tensor:
         raise FormatError(
             f"{path}: payload is {len(raw) - dims_end} bytes, expected {count * itemsize}"
         )
-    if dtype_code == DTYPE_F32:
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=dims_end)
-        arr = arr.reshape(dims).astype(np.float32)
-        if not np.isfinite(arr).all():
-            raise DataError(f"{path}: non-finite values in payload")
-        tensor: Tensor = FeatureMap(arr) if rank == 3 else ScalarMap(arr)
-    else:
-        if rank == 3:
-            raise FormatError(f"{path}: no tensor type for rank-3 uint8 data")
-        arr = np.frombuffer(raw, dtype=np.uint8, count=count, offset=dims_end).reshape(dims)
-        if not (arr <= 1).all():
-            raise DataError(f"{path}: mask payload contains values outside {{0, 1}}")
-        tensor = BitMask(arr.copy())
+    if dtype_code == DTYPE_U8 and rank == 3:
+        raise FormatError(f"{path}: no tensor type for rank-3 uint8 data")
+    kind = BitMask if dtype_code == DTYPE_U8 else FeatureMap if rank == 3 else ScalarMap
+    dtype = np.uint8 if dtype_code == DTYPE_U8 else "<f4"
+    # one copy: the tensor owns a writable array and does not pin the file's bytes
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=dims_end).reshape(dims).copy()
+    try:
+        tensor: Tensor = kind(arr)  # the type checks the values' domain
+    except MaupError as e:
+        raise type(e)(f"{path}: {e}") from e
     if expect is not None and not isinstance(tensor, expect):
         raise FormatError(
             f"{path}: holds a {type(tensor).__name__}, caller requested {expect.__name__}"

@@ -214,3 +214,69 @@ def two_means_oracle_fast(points):
         axis=1
     ) / counts_b
     return total_sq - float(explained.max())
+
+
+# The per-point prompt export that the array export replaced: one record per
+# prompt, each mapped and checked on its own.
+
+
+def to_image_xy_reference(row, col, scale):
+    """Grid pixel -> image pixel, center-of-patch convention."""
+    return col * scale + scale // 2, row * scale + scale // 2
+
+
+def to_grid_point_reference(x, y, scale):
+    """Inverse of ``to_image_xy_reference`` for coordinates it produced, as (row, col)."""
+    return (y - scale // 2) // scale, (x - scale // 2) // scale
+
+
+def build_export_reference(ps, n_regions, height, width):
+    """``build_export`` as a loop over prompt records; returns the export's dict.
+
+    ``ps`` carries (row, col) point arrays; a point outside the scaled frame
+    raises the ShapeError the export raises.
+    """
+    from maup.errors import ShapeError
+
+    positives = []
+    for (row, col), source in zip(ps.positives.tolist(), ps.sources):
+        x, y = to_image_xy_reference(row, col, ps.scale)
+        positives.append({"x": x, "y": y, "label": 1, "source": source})
+    negatives = []
+    for row, col in ps.negatives.tolist():
+        x, y = to_image_xy_reference(row, col, ps.scale)
+        negatives.append({"x": x, "y": y, "label": 0, "source": "negative"})
+    for pt in positives + negatives:
+        if not (0 <= pt["x"] < width * ps.scale and 0 <= pt["y"] < height * ps.scale):
+            raise ShapeError(f"exported prompt (x={pt['x']}, y={pt['y']}) escapes the scaled frame")
+    return {
+        "positives": positives,
+        "negatives": negatives,
+        "k_used": ps.k_used,
+        "tau_mean": ps.tau_mean,
+        "tau_uncert": ps.tau_uncert,
+        "tau_neg": ps.tau_neg,
+        "n_regions": n_regions,
+        "seed": ps.seed,
+        "scale": ps.scale,
+        "flags": list(ps.flags),
+    }
+
+
+def surrogate_reference(export, above):
+    """``surrogate_segment`` on an export's dict: map each prompt back, check it, flood.
+
+    ``above`` is the thresholded H x W map; a prompt off the grid raises the
+    ShapeError the surrogate raises, positives first.
+    """
+    from maup.errors import ShapeError
+
+    h, w = above.shape
+    grid = {"positives": [], "negatives": []}
+    for kind, points in grid.items():
+        for pt in export[kind]:
+            row, col = to_grid_point_reference(pt["x"], pt["y"], export["scale"])
+            if not (0 <= row < h and 0 <= col < w):
+                raise ShapeError(f"prompt (x={pt['x']}, y={pt['y']}) is out of bounds for a {h}x{w} map")
+            points.append((row, col))
+    return flood_oracle(above, grid["positives"], grid["negatives"])

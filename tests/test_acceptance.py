@@ -106,7 +106,7 @@ def test_oracle_equivalence():
         n_seeds = min(int(rng.integers(1, 7)), m.foreground_count)
         seeds = farthest_point_seeds(m, n_seeds, seed)
         labels = voronoi_partition(m, seeds)
-        expected = voronoi_oracle(m.bits, [(s.row, s.col) for s in seeds])
+        expected = voronoi_oracle(m.bits, seeds.tolist())
         assert {(int(y), int(x)): int(labels[y, x]) for y, x in np.argwhere(labels >= 0)} == expected
 
         pct = float(rng.uniform(1.0, 99.0))
@@ -184,18 +184,16 @@ def test_containment_suite():
         mean64 = res.mean.values.astype(np.float64)
         unc64 = res.uncertainty.values.astype(np.float64)
         pos_points = set()
-        for p in export.positives:
-            g = to_grid_point(p.x, p.y, export.scale)
-            pos_points.add(g)
-            if p.source == MEAN_TAG:
-                assert mean64[g.row, g.col] >= res.prompts.tau_mean
+        for (r, c), source in zip(to_grid_point(export.positives, export.scale).tolist(), export.sources):
+            pos_points.add((r, c))
+            if source == MEAN_TAG:
+                assert mean64[r, c] >= res.prompts.tau_mean
             else:
-                assert unc64[g.row, g.col] >= res.prompts.tau_uncert
+                assert unc64[r, c] >= res.prompts.tau_uncert
         neg_points = set()
-        for p in export.negatives:
-            g = to_grid_point(p.x, p.y, export.scale)
-            neg_points.add(g)
-            assert res.negative.values.astype(np.float64)[g.row, g.col] >= res.prompts.tau_neg
+        for r, c in to_grid_point(export.negatives, export.scale).tolist():
+            neg_points.add((r, c))
+            assert res.negative.values.astype(np.float64)[r, c] >= res.prompts.tau_neg
         assert not pos_points & neg_points
 
         # partition label map: -1 exactly off the foreground, every region non-empty

@@ -288,6 +288,13 @@ class TestBadValuesExitTwo:
         self.assert_one_line_error(proc, "phantom", "seed")
         assert not (tmp_path / "ph").exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_phantom_non_finite_noise(self, tmp_path, noise):
+        out = tmp_path / "ph"
+        proc = run_cli_process(["phantom", "--family", "disk", "--noise", noise, "--out", str(out)])
+        self.assert_one_line_error(proc, "phantom", "noise")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, words",
         [
@@ -295,8 +302,12 @@ class TestBadValuesExitTwo:
             ("families = disk\ngamma = inf\n", ("gamma",)),
             ("families = disk\ngama = 7\n", ("unknown key", "gama")),
             ("families = disk\nscale = 14\n", ("unknown key", "scale")),
+            ("families = disk\nseeds = 1\nthreshold = nan\n", ("threshold",)),
+            ("families = disk\nseeds = 1\nthreshold = inf\n", ("threshold",)),
+            ("families = disk\nseeds = 1\nnoise = nan\n", ("noise",)),
         ],
-        ids=["negative-seeds", "inf-gamma", "misspelt-key", "per-cell-key"],
+        ids=["negative-seeds", "inf-gamma", "misspelt-key", "per-cell-key", "nan-threshold",
+             "inf-threshold", "nan-noise"],
     )
     def test_ablate(self, tmp_path, text, words):
         cfg = tmp_path / "sweep.cfg"

@@ -114,16 +114,16 @@ class TestDegenerateEpisodes:
         h, w = query_f.height, query_f.width
         assert episode_bytes(first, h, w) == episode_bytes(second, h, w)
         ps = first.prompts
-        positives = [p.point for p in ps.positives]
-        for r, c in positives + list(ps.negatives):
+        positives, negatives = ps.positives.tolist(), ps.negatives.tolist()
+        for r, c in positives + negatives:
             assert 0 <= r < h and 0 <= c < w
-        assert not set(positives) & set(ps.negatives)
-        assert len(set(positives)) == len(positives)
+        assert not set(map(tuple, positives)) & set(map(tuple, negatives))
+        assert len(set(map(tuple, positives))) == len(positives)
         if cfg.mmp:
             assert cfg.n_min <= ps.k_used <= cfg.n_max
         export = build_export(ps, first.n_regions, h, w)
-        for p in export.positives + export.negatives:
-            assert 0 <= p.x < w * cfg.scale and 0 <= p.y < h * cfg.scale
+        for x, y in export.positives.tolist() + export.negatives.tolist():
+            assert 0 <= x < w * cfg.scale and 0 <= y < h * cfg.scale
 
 
 class TestDegenerateSweeps:

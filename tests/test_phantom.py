@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -27,6 +29,12 @@ class TestSpecValidation:
     def test_bad_parameters(self, kwargs):
         with pytest.raises(SpecError):
             PhantomSpec(family="disk", **kwargs)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise(self, noise):
+        # nan passed a bare `noise < 0` check and then painted no noise at all
+        with pytest.raises(SpecError, match="noise"):
+            PhantomSpec(family="disk", noise=noise)
 
 
 class TestGeneration:

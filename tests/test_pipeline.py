@@ -20,7 +20,6 @@ from maup.pipeline import (
     AblationRow,
     EpisodeResult,
     EpisodeSpec,
-    ExportPoint,
     PromptExport,
     Support,
     ablation_run,
@@ -33,12 +32,12 @@ from maup.pipeline import (
     save_phantom,
     surrogate_segment,
 )
-from maup.prompting import MEAN_TAG, PromptConfig, generate_prompts
+from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, generate_prompts
 from maup.simmaps import candidate_mask
 from maup.surrogate import to_grid_point, to_image_xy
-from maup.tensors import BitMask, FeatureMap, PointRC, ScalarMap
+from maup.tensors import BitMask, FeatureMap, ScalarMap
 
-from oracles import flood_oracle
+from oracles import build_export_reference, flood_oracle, surrogate_reference
 
 GOLDEN = Path(__file__).parent / "golden" / "prompts_disk_seed7.json"
 # a ViT-patch-scale episode (37x37 grid, 1024 channels) at nf=60, negative path on / off
@@ -117,10 +116,16 @@ VALID_TOGGLES = [t for t in itertools.product([False, True], repeat=3) if t[0] o
 SWEEP_TOGGLES = [(False, True, False), (True, True, False), (True, True, True)]  # ump | mmp+ump | all
 
 
+def image_xy(points):
+    """(row, col) pairs as the N x 2 int64 (x, y) array an export holds."""
+    return np.array([(x, y) for y, x in points], dtype=np.int64).reshape(-1, 2)
+
+
 def export_with(points_pos, points_neg, scale=1):
     return PromptExport(
-        positives=tuple(ExportPoint(x=x, y=y, label=1, source="mean-centroid") for y, x in points_pos),
-        negatives=tuple(ExportPoint(x=x, y=y, label=0, source="negative") for y, x in points_neg),
+        positives=image_xy(points_pos),
+        sources=(MEAN_TAG,) * len(points_pos),
+        negatives=image_xy(points_neg),
         k_used=len(points_pos),
         tau_mean=None,
         tau_uncert=None,
@@ -165,22 +170,24 @@ def disk_intensity(h, w, cy, cx, r, value=1.0):
 class TestCoordinateExport:
     @pytest.mark.parametrize("scale", [1, 2, 7, 14])
     def test_round_trip_through_image_coords(self, scale):
-        for p in [PointRC(0, 0), PointRC(3, 9), PointRC(31, 31)]:
-            x, y = to_image_xy(p, scale)
-            assert to_grid_point(x, y, scale) == p
+        points = np.array([[0, 0], [3, 9], [31, 31]])
+        xy = to_image_xy(points, scale)
+        assert xy.dtype == np.int64 and xy.shape == (3, 2)
+        assert np.array_equal(to_grid_point(xy, scale), points)
+        assert to_image_xy(np.empty((0, 2), dtype=np.int64), scale).shape == (0, 2)
 
     def test_center_of_patch_convention(self):
-        assert to_image_xy(PointRC(2, 3), 14) == (3 * 14 + 7, 2 * 14 + 7)
-        assert to_image_xy(PointRC(2, 3), 1) == (3, 2)
+        assert to_image_xy(np.array([[2, 3]]), 14).tolist() == [[3 * 14 + 7, 2 * 14 + 7]]
+        assert to_image_xy(np.array([[2, 3]]), 1).tolist() == [[3, 2]]
 
     def test_exported_coords_stay_in_scaled_frame(self):
         ph = generate_phantom(PhantomSpec(family="disk", seed=1))
         cfg = PromptConfig(seed=1, scale=14)
         res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
         export = build_export(res.prompts, res.n_regions, 32, 32)
-        for p in export.positives + export.negatives:
-            assert 0 <= p.x < 32 * 14
-            assert 0 <= p.y < 32 * 14
+        for x, y in np.concatenate([export.positives, export.negatives]).tolist():
+            assert 0 <= x < 32 * 14
+            assert 0 <= y < 32 * 14
 
     def test_canonical_json_is_sorted_and_newline_terminated(self):
         export = export_with([(1, 2)], [(3, 4)])
@@ -229,8 +236,8 @@ class TestExecuteEpisode:
         res = execute_episode(support_f, BitMask(bits), query_f, PromptConfig(seed=4, scale=1))
         assert res.mean.values.shape == (24, 20)
         export = build_export(res.prompts, res.n_regions, 24, 20)
-        for p in export.positives + export.negatives:
-            assert 0 <= p.x < 20 and 0 <= p.y < 24
+        for x, y in np.concatenate([export.positives, export.negatives]).tolist():
+            assert 0 <= x < 20 and 0 <= y < 24
 
     def test_containment_of_all_prompt_kinds(self):
         ph = generate_phantom(PhantomSpec(family="two-lobe", contrast=0.4, noise=0.1, seed=9))
@@ -239,11 +246,11 @@ class TestExecuteEpisode:
         ps = res.prompts
         maps = [(res.mean, ps.tau_mean), (res.uncertainty, ps.tau_uncert), (res.negative, ps.tau_neg)]
         q_mean, q_unc, q_neg = (
-            {PointRC(*p) for p in np.argwhere(candidate_mask(m, tau, "map")).tolist()} for m, tau in maps
+            {tuple(p) for p in np.argwhere(candidate_mask(m, tau, "map")).tolist()} for m, tau in maps
         )
-        for p in ps.positives:
-            assert p.point in (q_mean if p.source == MEAN_TAG else q_unc)
-        assert set(ps.negatives) <= q_neg
+        for p, source in zip(ps.positives.tolist(), ps.sources, strict=True):
+            assert tuple(p) in (q_mean if source == MEAN_TAG else q_unc)
+        assert set(map(tuple, ps.negatives.tolist())) <= q_neg
 
     @pytest.mark.parametrize("np_on", [True, False])
     def test_paper_scale_golden_bytes(self, np_on):
@@ -376,7 +383,7 @@ class TestRunEpisode:
 
     def test_np_off_exports_no_negatives(self, tmp_path):
         export, prompts_path = self.run_disk_episode(tmp_path, seed=5, np=False)
-        assert export.negatives == ()
+        assert export.negatives.shape == (0, 2)
         assert json.loads(prompts_path.read_text())["negatives"] == []
 
     def test_heatmaps_written_on_request(self, tmp_path):
@@ -512,8 +519,9 @@ class TestSurrogate:
     def test_scaled_prompts_map_back_to_grid(self):
         gt_like = disk_intensity(16, 16, 8, 8, 4)
         export = PromptExport(
-            positives=(ExportPoint(x=8 * 14 + 7, y=8 * 14 + 7, label=1, source="mean-centroid"),),
-            negatives=(),
+            positives=np.array([[8 * 14 + 7, 8 * 14 + 7]]),
+            sources=(MEAN_TAG,),
+            negatives=np.empty((0, 2), dtype=np.int64),
             k_used=1,
             tau_mean=None,
             tau_uncert=None,
@@ -524,6 +532,70 @@ class TestSurrogate:
         )
         out = surrogate_segment(export, gt_like, 0.5)
         assert out.foreground_count == (gt_like.values >= 0.5).sum()
+
+
+def shape_error_or(run):
+    """What ``run`` returns, or the type and text of the ShapeError it raises."""
+    try:
+        return run()
+    except ShapeError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def frames(draw):
+    """A 1x1 to 40x40 grid and a scale of 1 to 14."""
+    return draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 14))
+
+
+def point_arrays(draw, lo, hi, max_size, avoid=()):
+    """An N x 2 int64 array of 0 to ``max_size`` points in [lo, hi), none in ``avoid``."""
+    point = st.tuples(st.integers(lo[0], hi[0] - 1), st.integers(lo[1], hi[1] - 1))
+    points = draw(st.lists(point.filter(lambda p: p not in avoid), max_size=max_size))
+    return np.array(points, dtype=np.int64).reshape(-1, 2)
+
+
+class TestArrayExportReference:
+    """The array export equals the per-point export it replaced: same JSON, mask and ShapeError."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        frame=frames(),
+        data=st.data(),
+        taus=st.tuples(*[st.one_of(st.none(), st.floats(-2.0, 2.0))] * 3),
+        flags=st.lists(st.sampled_from(["np-disabled-empty-periphery", "np-exhausted-by-positives"]), max_size=1),
+    )
+    def test_build_export_matches_the_point_loop(self, frame, data, taus, flags):
+        h, w, scale = frame
+        # points up to two pixels off the grid, and empty sets
+        lo, hi = (-2, -2), (h + 2, w + 2)
+        pos = point_arrays(data.draw, lo, hi, 8)
+        neg = point_arrays(data.draw, lo, hi, 4, avoid=set(map(tuple, pos.tolist())))
+        n_mean = data.draw(st.integers(0, len(pos)))
+        sources = (MEAN_TAG,) * n_mean + (UNCERTAINTY_TAG,) * (len(pos) - n_mean)
+        ps = PromptSet(pos, sources, neg, n_mean, 3, scale, *taus, tuple(flags))
+        got = shape_error_or(lambda: build_export(ps, 7, h, w).canonical_json())
+        want = shape_error_or(
+            lambda: json.dumps(build_export_reference(ps, 7, h, w), sort_keys=True, indent=2) + "\n"
+        )
+        assert got == want
+
+    @settings(deadline=None, max_examples=300)
+    @given(frame=frames(), data=st.data())
+    def test_surrogate_matches_the_point_loop(self, frame, data):
+        h, w, scale = frame
+        above = data.draw(arrays(np.bool_, (h, w)))
+        # any image pixel near the scaled frame, centred on a patch or not
+        lo, hi = (-2 * scale, -2 * scale), ((w + 2) * scale, (h + 2) * scale)
+        pos = point_arrays(data.draw, lo, hi, 6)
+        neg = point_arrays(data.draw, lo, hi, 4)
+        export = replace(export_with([], [], scale), positives=pos, sources=(MEAN_TAG,) * len(pos), negatives=neg)
+        got = shape_error_or(lambda: surrogate_segment(export, ScalarMap(above.astype(np.float32)), 0.5).bits)
+        want = shape_error_or(lambda: np.array(surrogate_reference(export.to_dict(), above), dtype=np.uint8))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
 
 class TestDice:
@@ -776,12 +848,22 @@ class TestAblation:
             ablation_run([PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, -1])
         assert calls == []
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_fails_before_any_cell(self, monkeypatch, threshold):
+        # a nan threshold segments nothing and would read as dice 0.0 on every ok row
+        calls = []
+        monkeypatch.setattr(pl, "generate_phantom", lambda spec: calls.append(spec))
+        with pytest.raises(ConfigError, match="threshold"):
+            ablation_run([PhantomSpec(family="disk")], [(True, True, True)], threshold=threshold)
+        assert calls == []
+
     def test_export_bounds_guard(self):
-        from maup.prompting import PromptPoint, PromptSet
+        from maup.prompting import PromptSet
 
         ps = PromptSet(
-            positives=(PromptPoint(PointRC(5, 5), MEAN_TAG),),
-            negatives=(),
+            positives=np.array([[5, 5]]),
+            sources=(MEAN_TAG,),
+            negatives=np.empty((0, 2), dtype=np.int64),
             k_used=1,
             seed=0,
             scale=1,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 from unittest import mock
@@ -20,7 +21,6 @@ from maup.prompting import (
     MEAN_TAG,
     UNCERTAINTY_TAG,
     PromptConfig,
-    PromptPoint,
     PromptSet,
     adaptive_k,
     complexity,
@@ -33,7 +33,7 @@ from maup.prompting import (
 )
 from maup.regions import area_and_perimeter
 from maup.simmaps import candidate_mask, percentile_threshold
-from maup.tensors import BitMask, PointRC, ScalarMap
+from maup.tensors import BitMask, ScalarMap
 
 from oracles import candidates_oracle, two_means_oracle
 
@@ -94,8 +94,8 @@ def lloyd_reference(coords, k, seed, max_iter=100, tol=1e-4):
 
 
 # The list-based prompting code that the array code replaced, kept as the
-# bit-exact reference: candidates are row-major lists of PointRC, thresholds
-# come from np.percentile, and k-means runs on lloyd_reference.
+# bit-exact reference: candidates are row-major lists of (row, col) tuples,
+# thresholds come from np.percentile, and k-means runs on lloyd_reference.
 
 
 def percentile_reference(map_, pct):
@@ -103,7 +103,7 @@ def percentile_reference(map_, pct):
 
 
 def candidates_reference(map_, tau, tag):
-    points = [PointRC(r, c) for r, c in candidates_oracle(map_.values, tau)]
+    points = list(candidates_oracle(map_.values, tau))
     if not points:
         raise EmptyCandidateError(f"no pixel of the {tag} map reaches {tau}")
     return points
@@ -145,7 +145,7 @@ def positive_reference(mean, uncert, cfg, seed):
         q_mean = candidates_reference(mean, tau_mean, "mean")
         k = adaptive_k(complexity_reference(mean, tau_mean), cfg)
         for p in kmeans_reference(q_mean, k, rng):
-            out.append(PromptPoint(p, MEAN_TAG))
+            out.append((p, MEAN_TAG))
             taken.add(p)
     if cfg.ump:
         tau_uncert = percentile_reference(uncert, cfg.percentile)
@@ -160,7 +160,7 @@ def positive_reference(mean, uncert, cfg, seed):
                         break
                 if pick is None:
                     pick = min(p for p in q_uncert if p not in taken)
-                out.append(PromptPoint(pick, UNCERTAINTY_TAG))
+                out.append((pick, UNCERTAINTY_TAG))
                 taken.add(pick)
     return out, k, tau_mean, tau_uncert
 
@@ -183,13 +183,15 @@ def select_reference(mean, uncert, neg_map, cfg, pos_seed, neg_seed):
         flags.append("np-disabled-empty-periphery")
     elif cfg.np:
         negatives, tau_neg = negative_reference(
-            neg_map, [p.point for p in positives], cfg.n_neg, neg_seed, cfg.percentile
+            neg_map, [p for p, _ in positives], cfg.n_neg, neg_seed, cfg.percentile
         )
         if not negatives:
             flags.append("np-exhausted-by-positives")
     return PromptSet(
-        tuple(positives), tuple(negatives), k_used, cfg.seed, cfg.scale,
-        tau_mean, tau_uncert, tau_neg, tuple(flags),
+        np.array([p for p, _ in positives], dtype=np.int64).reshape(-1, 2),
+        tuple(source for _, source in positives),
+        np.array(negatives, dtype=np.int64).reshape(-1, 2),
+        k_used, cfg.seed, cfg.scale, tau_mean, tau_uncert, tau_neg, tuple(flags),
     )
 
 
@@ -205,13 +207,20 @@ def outcome(run):
     except MaupError as e:
         return type(e).__name__, str(e)
     taus = tuple(exact(t) for t in (ps.tau_mean, ps.tau_uncert, ps.tau_neg))
-    return ps.positives, ps.negatives, ps.k_used, taus, ps.flags
+    return as_points(ps.positives), ps.sources, as_points(ps.negatives), ps.k_used, taus, ps.flags
 
 
 def as_points(arr):
-    """An N x 2 prompt array as a list of PointRC, checking its dtype and shape."""
+    """An N x 2 prompt array as a list of (row, col) tuples, checking its dtype and shape."""
     assert arr.dtype == np.int64 and arr.ndim == 2 and arr.shape[1] == 2
-    return [PointRC(r, c) for r, c in arr.tolist()]
+    return [(r, c) for r, c in arr.tolist()]
+
+
+def fields_of(ps: PromptSet) -> dict:
+    """A prompt set's fields, point arrays as lists: arrays make ``==`` on the set ambiguous."""
+    return {f.name: getattr(ps, f.name) for f in dataclasses.fields(ps)} | {
+        "positives": as_points(ps.positives), "negatives": as_points(ps.negatives)
+    }
 
 
 _SHAPES = st.one_of(
@@ -315,8 +324,7 @@ class TestAdaptiveK:
         rng = np.random.default_rng(0)
         noise = ScalarMap(rng.standard_normal((32, 32)).astype(np.float32))
         cfg = PromptConfig(mmp=True, ump=False, np=False, gamma=1e308, percentile=50)
-        _, _, k, _, _ = positive_prompts(noise, noise, cfg, 0)
-        assert k == cfg.n_max
+        assert positive_prompts(noise, noise, cfg, 0).k_used == cfg.n_max
 
     @pytest.mark.parametrize("gamma", [1e-300, 0.3, 5.0, 1e6, 1e300])
     @pytest.mark.parametrize("c", [0.0, 0.11, 1.37, 2.0])
@@ -327,30 +335,30 @@ class TestAdaptiveK:
 
 class TestKMeans:
     def test_single_cluster_returns_nearest_to_centroid(self):
-        points = [PointRC(0, 0), PointRC(0, 4), PointRC(4, 0), PointRC(4, 4), PointRC(2, 1)]
+        points = [(0, 0), (0, 4), (4, 0), (4, 4), (2, 1)]
         # centroid = (2.0, 1.8); nearest candidate is (2, 1)
         assert kmeans(points, 1, 0).tolist() == [[2, 1]]
 
     def test_k_equals_point_count_returns_the_points(self):
-        points = [PointRC(0, 0), PointRC(3, 7), PointRC(9, 2)]
+        points = [(0, 0), (3, 7), (9, 2)]
         for seed in range(5):
             assert set(as_points(kmeans(points, 3, seed))) == set(points)
 
     def test_k_reduced_to_distinct_count(self):
-        points = [PointRC(1, 1), PointRC(1, 1), PointRC(5, 5)]
+        points = [(1, 1), (1, 1), (5, 5)]
         out = as_points(kmeans(points, 3, 0))
-        assert set(out) == {PointRC(1, 1), PointRC(5, 5)}
+        assert set(out) == {(1, 1), (5, 5)}
 
     def test_two_blobs_get_one_point_each(self):
         rng = np.random.default_rng(8)
-        blob_a = [PointRC(5 + int(dy), 5 + int(dx)) for dy, dx in rng.integers(-1, 2, (6, 2))]
-        blob_b = [PointRC(50 + int(dy), 50 + int(dx)) for dy, dx in rng.integers(-1, 2, (6, 2))]
+        blob_a = [(5 + int(dy), 5 + int(dx)) for dy, dx in rng.integers(-1, 2, (6, 2))]
+        blob_b = [(50 + int(dy), 50 + int(dx)) for dy, dx in rng.integers(-1, 2, (6, 2))]
         points = blob_a + blob_b
         for seed in range(10):
             out = as_points(kmeans(points, 2, seed))
             assert len(out) == 2
-            near_a = [p for p in out if abs(p.row - 5) <= 1 and abs(p.col - 5) <= 1]
-            near_b = [p for p in out if abs(p.row - 50) <= 1 and abs(p.col - 50) <= 1]
+            near_a = [(r, c) for r, c in out if abs(r - 5) <= 1 and abs(c - 5) <= 1]
+            near_b = [(r, c) for r, c in out if abs(r - 50) <= 1 and abs(c - 50) <= 1]
             assert len(near_a) == 1 and len(near_b) == 1
 
     @pytest.mark.parametrize("seed", range(10))
@@ -378,7 +386,7 @@ class TestKMeans:
 
     def test_results_are_candidates(self):
         rng = np.random.default_rng(77)
-        points = [PointRC(int(y), int(x)) for y, x in rng.integers(0, 30, (40, 2))]
+        points = [(int(y), int(x)) for y, x in rng.integers(0, 30, (40, 2))]
         points = list(dict.fromkeys(points))
         out = as_points(kmeans(points, 5, 3))
         assert all(p in points for p in out)
@@ -391,7 +399,7 @@ class TestKMeans:
 
     def test_bad_k(self):
         with pytest.raises(ConfigError):
-            kmeans([PointRC(0, 0)], 0, 0)
+            kmeans([(0, 0)], 0, 0)
         with pytest.raises(ConfigError):
             lloyd_cluster(np.array([[0.0, 0.0]]), 2, 0)
 
@@ -508,7 +516,7 @@ class TestKMeans:
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
-        points = [PointRC(int(y), int(x)) for y, x in rng.integers(0, 40, (25, 2))]
+        points = [(int(y), int(x)) for y, x in rng.integers(0, 40, (25, 2))]
         points = list(dict.fromkeys(points))
         assert np.array_equal(kmeans(points, 4, 11), kmeans(points, 4, 11))
 
@@ -518,33 +526,34 @@ class TestPositivePrompts:
         cfg = PromptConfig(mmp=False, ump=True, np=False, seed=0)
         mean = scalar(np.zeros((6, 6)))
         uncert = scalar(np.zeros((6, 6)))
-        mean_pts, unc_pts, k, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 0)
-        assert (k, tau_mean, tau_uncert) == (0, None, 0.0)
-        assert mean_pts.shape == (0, 2)
-        assert len(set(as_points(unc_pts))) == 2
+        ps = positive_prompts(mean, uncert, cfg, 0)
+        assert (ps.k_used, ps.tau_mean, ps.tau_uncert) == (0, None, 0.0)
+        assert ps.sources.count(MEAN_TAG) == 0
+        assert ps.sources == (UNCERTAINTY_TAG,) * 2 and len(set(as_points(ps.positives))) == 2
+        assert ps.negatives.shape == (0, 2) and ps.tau_neg is None and ps.flags == ()
 
     def test_sharp_peak_centroids_stay_inside_candidates(self):
         peak = [(y, x) for y in range(4, 7) for x in range(4, 7)]
         mean = hot_map(12, 12, peak)
         uncert = scalar(np.zeros((12, 12)))
         cfg = PromptConfig(mmp=True, ump=False, np=False, seed=1)
-        mean_pts, unc_pts, _, tau_mean, tau_uncert = positive_prompts(mean, uncert, cfg, 1)
+        ps = positive_prompts(mean, uncert, cfg, 1)
         tau = percentile_threshold(mean, cfg.percentile)
-        assert (tau_mean, tau_uncert) == (tau, None)
+        assert (ps.tau_mean, ps.tau_uncert) == (tau, None)
         q_mean = set(as_points(np.argwhere(candidate_mask(mean, tau, "mean"))))
-        assert len(mean_pts) and set(as_points(mean_pts)) <= q_mean
-        assert unc_pts.shape == (0, 2)
+        assert len(ps.positives) and set(as_points(ps.positives)) <= q_mean
+        assert ps.sources == (MEAN_TAG,) * len(ps.positives)  # no uncertainty picks
 
     def test_disjoint_hot_regions_give_k_plus_two(self):
         mean = hot_map(20, 20, [(y, x) for y in range(2, 6) for x in range(2, 6)])
         uncert = hot_map(20, 20, [(y, x) for y in range(14, 18) for x in range(14, 18)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=3)
-        mean_pts, unc_pts, k_used, _, _ = positive_prompts(mean, uncert, cfg, 3)
+        ps = positive_prompts(mean, uncert, cfg, 3)
         tau = percentile_threshold(mean, cfg.percentile)
         expected_k = adaptive_k(complexity(mean.values >= tau), cfg)
-        assert len(mean_pts) == k_used == expected_k
-        assert len(unc_pts) == 2
-        assert len(set(as_points(mean_pts) + as_points(unc_pts))) == k_used + 2
+        assert ps.sources.count(MEAN_TAG) == ps.k_used == expected_k
+        assert ps.sources == (MEAN_TAG,) * ps.k_used + (UNCERTAINTY_TAG,) * 2
+        assert len(set(as_points(ps.positives))) == ps.k_used + 2
 
     def test_both_paths_disabled(self):
         cfg = PromptConfig(mmp=False, ump=False, np=True)
@@ -561,19 +570,20 @@ class TestPositivePrompts:
         mean = hot_map(6, 6, hot)
         uncert = hot_map(6, 6, hot + [(5, 5)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=0)
-        mean_pts, unc_pts = positive_prompts(mean, uncert, cfg, 0)[:2]
-        assert unc_pts.shape == (0, 2)
-        assert set(as_points(mean_pts)) == {PointRC(*p) for p in hot}
+        ps = positive_prompts(mean, uncert, cfg, 0)
+        assert UNCERTAINTY_TAG not in ps.sources
+        assert set(as_points(ps.positives)) == set(hot)
 
     def test_collision_fallback_is_deterministic(self):
         hot = [(0, 0), (0, 5), (5, 0)]
         mean = hot_map(6, 6, hot)
         uncert = hot_map(6, 6, hot + [(4, 4), (5, 5)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=9)
-        out1 = positive_prompts(mean, uncert, cfg, 9)[:2]
-        out2 = positive_prompts(mean, uncert, cfg, 9)[:2]
-        assert all(np.array_equal(a, b) for a, b in zip(out1, out2))
-        assert set(as_points(out1[1])) == {PointRC(4, 4), PointRC(5, 5)}
+        out1 = positive_prompts(mean, uncert, cfg, 9)
+        out2 = positive_prompts(mean, uncert, cfg, 9)
+        assert fields_of(out1) == fields_of(out2)
+        assert out1.sources[-2:] == (UNCERTAINTY_TAG,) * 2
+        assert set(as_points(out1.positives[-2:])) == {(4, 4), (5, 5)}
 
     def test_heavy_collisions_always_land_on_free_candidates(self):
         # ten mean prompts occupy ten of twelve uncertainty candidates, so
@@ -581,19 +591,19 @@ class TestPositivePrompts:
         # (hot sets sit above 5% of the 12x12 frame, keeping tau on the plateau)
         hot = [(y, 2 * x) for y in (0, 10) for x in range(5)]
         mean = hot_map(12, 12, hot)
-        free = [PointRC(5, 3), PointRC(5, 11)]
-        uncert = hot_map(12, 12, hot + [(p.row, p.col) for p in free])
+        free = [(5, 3), (5, 11)]
+        uncert = hot_map(12, 12, hot + free)
         cfg = PromptConfig(mmp=True, ump=True, np=False, gamma=100.0, seed=0)
         for seed in range(200):
-            mean_pts, unc_pts = positive_prompts(mean, uncert, cfg, seed)[:2]
-            assert len(mean_pts) == 10
-            assert set(as_points(unc_pts)) == set(free)
+            ps = positive_prompts(mean, uncert, cfg, seed)
+            assert ps.sources == (MEAN_TAG,) * 10 + (UNCERTAINTY_TAG,) * 2
+            assert set(as_points(ps.positives[10:])) == set(free)
 
 
 class TestNegativePrompts:
     def test_constant_map_spreads_three(self):
         neg = scalar(np.zeros((8, 8)))
-        positives = [PointRC(0, 0), PointRC(1, 1)]
+        positives = [(0, 0), (1, 1)]
         out, tau = negative_prompts(neg, positives, 3, 0)
         assert tau == 0.0
         assert len(out) == 3
@@ -605,16 +615,16 @@ class TestNegativePrompts:
         ring = (d2 >= 16) & (d2 <= 36)
         vals = np.where(ring, 0.9, -0.2).astype(np.float32)
         neg = ScalarMap(vals)
-        out, _ = negative_prompts(neg, [PointRC(8, 8)], 3, 1)
+        out, _ = negative_prompts(neg, [(8, 8)], 3, 1)
         assert len(out) == 3
-        for p in as_points(out):
-            assert ring[p.row, p.col]
+        for r, c in as_points(out):
+            assert ring[r, c]
 
     def test_positives_exhaust_candidates(self):
         vals = np.zeros((4, 4), dtype=np.float32)
         vals[0, 0] = vals[0, 1] = 1.0
         neg = ScalarMap(vals)
-        out, tau = negative_prompts(neg, [PointRC(0, 0), PointRC(0, 1)], 3, 0)
+        out, tau = negative_prompts(neg, [(0, 0), (0, 1)], 3, 0)
         assert as_points(out) == [] and tau == 1.0
 
     def test_bad_n_neg(self):
@@ -622,21 +632,25 @@ class TestNegativePrompts:
             negative_prompts(scalar(np.zeros((4, 4))), [], 0, 0)
 
     def test_prompt_set_rejects_overlap(self):
-        p = PointRC(1, 1)
         with pytest.raises(OverlapError, match="positive and negative prompts overlap") as exc:
             PromptSet(
-                positives=(PromptPoint(p, MEAN_TAG),),
-                negatives=(p,),
+                positives=np.array([[1, 1]]),
+                sources=(MEAN_TAG,),
+                negatives=np.array([[1, 1]]),
                 k_used=1,
                 seed=0,
                 scale=1,
             )
         assert isinstance(exc.value, MaupError)
+        # a shared row or column is no overlap; replace runs the check again
+        ps = PromptSet(np.array([[1, 1], [2, 5]]), (MEAN_TAG, UNCERTAINTY_TAG), np.array([[1, 5]]), 1, 0, 1)
+        with pytest.raises(OverlapError):
+            dataclasses.replace(ps, negatives=np.array([[0, 0], [2, 5]]))
 
     def test_containment_in_candidate_set(self):
         rng = np.random.default_rng(6)
         neg = ScalarMap(rng.standard_normal((12, 12)).astype(np.float32) * 0.3)
-        positives = [PointRC(0, 0)]
+        positives = [(0, 0)]
         out, tau_neg = negative_prompts(neg, positives, 3, 2)
         tau = percentile_threshold(neg, 95.0)
         assert tau_neg == tau
@@ -657,24 +671,25 @@ class TestGeneratePrompts:
         cfg = PromptConfig(seed=5, scale=1)
         ps = generate_prompts(mean, uncert, neg, cfg)
         assert cfg.n_min <= ps.k_used <= cfg.n_max
-        assert not {p.point for p in ps.positives} & set(ps.negatives)
+        assert not set(as_points(ps.positives)) & set(as_points(ps.negatives))
         assert ps.tau_mean is not None and ps.tau_uncert is not None and ps.tau_neg is not None
-        n_mean = sum(1 for p in ps.positives if p.source == MEAN_TAG)
-        n_ump = sum(1 for p in ps.positives if p.source == UNCERTAINTY_TAG)
+        assert len(ps.sources) == len(ps.positives)
+        n_mean = ps.sources.count(MEAN_TAG)
+        n_ump = ps.sources.count(UNCERTAINTY_TAG)
         assert n_mean == ps.k_used
         assert n_ump in (0, 2)
 
     def test_np_off_yields_no_negatives(self):
         mean, uncert, neg = self.make_maps()
         ps = generate_prompts(mean, uncert, neg, PromptConfig(np=False, seed=1))
-        assert ps.negatives == ()
+        assert as_points(ps.negatives) == []
         assert ps.tau_neg is None
         assert ps.flags == ()
 
     def test_empty_periphery_flag(self):
         mean, uncert, _ = self.make_maps()
         ps = generate_prompts(mean, uncert, None, PromptConfig(seed=1))
-        assert ps.negatives == ()
+        assert as_points(ps.negatives) == []
         assert "np-disabled-empty-periphery" in ps.flags
 
     def test_exhausted_negative_flag(self):
@@ -685,7 +700,7 @@ class TestGeneratePrompts:
         neg = hot_map(4, 4, hot, hot=1.0, cold=-1.0)
         cfg = PromptConfig(mmp=True, ump=False, np=True, seed=2)
         ps = generate_prompts(mean, uncert, neg, cfg)
-        assert ps.negatives == ()
+        assert as_points(ps.negatives) == []
         assert "np-exhausted-by-positives" in ps.flags
 
     @pytest.mark.parametrize("toggles", [(True, True, True), (False, True, True), (True, False, True)])
@@ -705,7 +720,7 @@ class TestGeneratePrompts:
         cfg = PromptConfig(seed=123)
         a = generate_prompts(mean, uncert, neg, cfg)
         b = generate_prompts(mean, uncert, neg, cfg)
-        assert a == b
+        assert fields_of(a) == fields_of(b)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -797,11 +812,11 @@ class TestListReference:
     def test_kmeans_matches_list_reference(self, n, grid, k_extra, k_share, seed):
         # duplicate points allowed; k runs from 1 to a few past n
         rng = np.random.default_rng(seed)
-        points = [PointRC(int(r), int(c)) for r, c in zip(*(rng.integers(0, g, n) for g in grid))]
+        points = [(int(r), int(c)) for r, c in zip(*(rng.integers(0, g, n) for g in grid))]
         k = 1 + int(k_share * (n - 1)) + k_extra
         got = as_points(kmeans(np.array(points, dtype=np.int64), k, seed))
         assert got == kmeans_reference(points, k, seed)
-        assert got == as_points(kmeans(points, k, seed))  # a PointRC list is accepted as well
+        assert got == as_points(kmeans(points, k, seed))  # a list of pairs is accepted as well
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -848,7 +863,7 @@ class TestListReference:
         rng = np.random.default_rng(seed)
         neg = kind_map(rng, shape, kind)
         rows, cols = (rng.integers(-1, side + 1, n_pos).tolist() for side in shape)
-        positives = [PointRC(r, c) for r, c in zip(rows, cols)]
+        positives = list(zip(rows, cols))
         n_cand = len(candidates_reference(neg, percentile_reference(neg, pct), "negative"))
         n_neg = 1 + int(n_neg_share * n_cand)
         got, tau = negative_prompts(neg, np.array(positives, dtype=np.int64), n_neg, seed, pct)
@@ -858,20 +873,9 @@ class TestListReference:
 
 
 class TestPointObjects:
-    def test_select_prompts_builds_points_only_for_its_prompts(self, monkeypatch):
-        # candidates, clusters and draws stay arrays: the only PointRC objects
-        # are the ones the PromptSet carries (wherever a module builds them)
-        import maup.simmaps
-
-        built = []
-
-        class CountingPointRC(PointRC):
-            __slots__ = ()
-
-            def __new__(cls, *args):
-                built.append(args)
-                return super().__new__(cls, *args)
-
+    def test_select_prompts_builds_points_only_for_its_prompts(self):
+        # candidates, clusters, draws and the prompts themselves stay arrays: a
+        # PromptSet carries its points as N x 2 int64 arrays, no per-point objects
         rng = np.random.default_rng(0)
         yy, xx = np.mgrid[:64, :64]
         blob = np.exp(-((yy - 20) ** 2 + (xx - 30) ** 2) / 200.0)
@@ -881,8 +885,8 @@ class TestPointObjects:
         cfg = PromptConfig(seed=4, scale=1, percentile=50.0)
         _, pos_seed, neg_seed = mp.episode_seed_streams(cfg.seed)
         want = select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg, cfg, neg_seed)
-        for module in (mp, maup.simmaps):
-            monkeypatch.setattr(module, "PointRC", CountingPointRC, raising=False)
         got = select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg, cfg, neg_seed)
-        assert got == want and got.negatives and len(got.positives) == want.k_used + 2
-        assert len(built) <= len(got.positives) + len(got.negatives)
+        assert fields_of(got) == fields_of(want)
+        assert len(got.negatives) and len(got.positives) == want.k_used + 2
+        for points in (got.positives, got.negatives):
+            assert type(points) is np.ndarray and points.dtype == np.int64 and points.shape[1:] == (2,)

@@ -15,7 +15,7 @@ from maup.regions import (
     periphery_mask,
     voronoi_partition,
 )
-from maup.tensors import BitMask, PointRC
+from maup.tensors import BitMask
 
 from oracles import dilate_oracle, perimeter_oracle, voronoi_oracle
 
@@ -31,7 +31,7 @@ def random_mask(seed, h=16, w=16, density=0.3, non_empty=True):
 def oracle_labels(fg, seeds):
     """The label map voronoi_oracle's assignment describes, -1 off the foreground."""
     want = np.full(fg.bits.shape, -1, dtype=np.int64)
-    for (y, x), i in voronoi_oracle(fg.bits, [(s.row, s.col) for s in seeds]).items():
+    for (y, x), i in voronoi_oracle(fg.bits, seeds.tolist()).items():
         want[y, x] = i
     return want
 
@@ -90,7 +90,8 @@ class TestFarthestPointSeeds:
         bits[0, 0] = bits[0, 10] = 1
         for seed in range(5):
             pts = farthest_point_seeds(BitMask(bits), 2, seed)
-            assert set(pts) == {PointRC(0, 0), PointRC(0, 10)}
+            assert pts.dtype == np.int64 and pts.shape == (2, 2)
+            assert set(map(tuple, pts.tolist())) == {(0, 0), (0, 10)}
 
     def test_row_second_seed_is_far_end(self):
         bits = np.ones((1, 11), dtype=np.uint8)
@@ -100,8 +101,8 @@ class TestFarthestPointSeeds:
             first = np.random.default_rng(seed).integers(11)
             if first == 0:
                 pts = farthest_point_seeds(fg, 2, seed)
-                assert pts[0] == PointRC(0, 0)
-                assert pts[1] == PointRC(0, 10)
+                assert pts[0].tolist() == [0, 0]
+                assert pts[1].tolist() == [0, 10]
                 return
         pytest.fail("no seed draws column 0 first")
 
@@ -109,11 +110,11 @@ class TestFarthestPointSeeds:
         fg = random_mask(1, 8, 8, density=0.1)
         pts = farthest_point_seeds(fg, 100, 0)
         assert len(pts) == fg.foreground_count
-        assert len(set(pts)) == len(pts)
+        assert len(set(map(tuple, pts.tolist()))) == len(pts)
 
     def test_determinism(self):
         fg = random_mask(2)
-        assert farthest_point_seeds(fg, 6, 42) == farthest_point_seeds(fg, 6, 42)
+        assert np.array_equal(farthest_point_seeds(fg, 6, 42), farthest_point_seeds(fg, 6, 42))
 
     def test_empty_foreground(self):
         with pytest.raises(EmptyMaskError):
@@ -135,7 +136,7 @@ class TestFarthestPointSeeds:
         fg = BitMask(bits)
         stream = np.random.SeedSequence(seed).spawn(3)[0] if spawned else seed
         longer = farthest_point_seeds(fg, n + extra, stream)
-        assert farthest_point_seeds(fg, n, stream) == longer[: min(n, fg.foreground_count)]
+        assert np.array_equal(farthest_point_seeds(fg, n, stream), longer[: min(n, fg.foreground_count)])
 
     def test_spread_beats_random_subsets(self):
         fg = disk_mask(32, 32, 16, 16, 12)
@@ -165,8 +166,9 @@ class TestVoronoiPartition:
 
     def test_row_split_between_two_seeds(self):
         fg = BitMask(np.ones((1, 4), dtype=np.uint8))
-        labels = voronoi_partition(fg, [PointRC(0, 0), PointRC(0, 3)])
+        labels = voronoi_partition(fg, [(0, 0), (0, 3)])  # a list of pairs, or an array
         assert labels.tolist() == [[0, 0, 1, 1]]
+        assert np.array_equal(voronoi_partition(fg, np.array([[0, 0], [0, 3]])), labels)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_pixel_oracle(self, seed):
@@ -186,12 +188,15 @@ class TestVoronoiPartition:
     def test_seed_outside_foreground(self):
         fg = BitMask(np.eye(4, dtype=np.uint8))
         with pytest.raises(SeedError):
-            voronoi_partition(fg, [PointRC(0, 1)])
+            voronoi_partition(fg, np.array([[0, 1]]))
+        for off_frame in ([4, 0], [0, -1]):
+            with pytest.raises(SeedError, match="outside the foreground"):
+                voronoi_partition(fg, np.array([[0, 0], off_frame]))
 
     def test_duplicate_seeds(self):
         fg = BitMask(np.ones((2, 2), dtype=np.uint8))
         with pytest.raises(SeedError):
-            voronoi_partition(fg, [PointRC(0, 0), PointRC(0, 0)])
+            voronoi_partition(fg, np.array([[0, 0], [0, 0]]))
 
     @settings(deadline=None)
     @given(

@@ -16,7 +16,7 @@ from maup.simmaps import (
     uncertainty_map,
     write_pgm,
 )
-from maup.tensors import FeatureMap, PointRC, ScalarMap
+from maup.tensors import FeatureMap, ScalarMap
 
 from oracles import (
     candidates_oracle,
@@ -320,7 +320,7 @@ class TestExtractCandidates:
         vals = np.zeros((3, 3), dtype=np.float32)
         vals[1, 2] = vals[2, 0] = 5.0
         cands = extract_candidates(ScalarMap(vals), 5.0, "mean")
-        assert {PointRC(*p) for p in cands.tolist()} == {PointRC(1, 2), PointRC(2, 0)}
+        assert {tuple(p) for p in cands.tolist()} == {(1, 2), (2, 0)}
 
     def test_row_major_order(self):
         vals = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.float32)
@@ -369,7 +369,7 @@ class TestExtractCandidates:
         for pct in (50.0, 75.0, 90.0, 99.0):
             cands = extract_candidates(m, percentile_threshold(m, pct), "mean")
             assert len(cands) >= 1
-            cands = {PointRC(*p) for p in cands.tolist()}
+            cands = {tuple(p) for p in cands.tolist()}
             if previous is not None:
                 assert cands <= previous
             previous = cands

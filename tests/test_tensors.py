@@ -9,7 +9,6 @@ from maup.errors import DataError, FormatError, MaupError
 from maup.tensors import (
     BitMask,
     FeatureMap,
-    PointRC,
     ScalarMap,
     load_tensor,
     save_tensor,
@@ -103,14 +102,30 @@ class TestHeaderValidation:
         path = tmp_path / "nan.maup"
         payload = np.array([[np.nan, 0.0]], dtype="<f4")
         path.write_bytes(header(1, 2, (1, 2)) + payload.tobytes())
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="non-finite") as exc:
             load_tensor(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_mask_payload_with_two(self, tmp_path):
         path = tmp_path / "two.maup"
         path.write_bytes(header(2, 2, (1, 2)) + bytes([0, 2]))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="0 or 1") as exc:
             load_tensor(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_loaded_arrays_own_one_writable_copy(self, tmp_path):
+        # the payload is copied once: no view pins the file's bytes
+        tensors = (
+            FeatureMap(np.ones((2, 2, 3), dtype=np.float32)),
+            ScalarMap(np.ones((2, 3), dtype=np.float32)),
+            BitMask(np.eye(3, dtype=np.uint8)),
+        )
+        for i, t in enumerate(tensors):
+            save_tensor(t, tmp_path / f"{i}.maup")
+            loaded = load_tensor(tmp_path / f"{i}.maup")
+            arr = {FeatureMap: "data", ScalarMap: "values", BitMask: "bits"}[type(loaded)]
+            arr = getattr(loaded, arr)
+            assert arr.flags.writeable and arr.flags.owndata and arr.base is None
 
     def test_rank3_u8_has_no_type(self, tmp_path):
         path = tmp_path / "u8r3.maup"
@@ -225,7 +240,3 @@ class TestTypes:
     def test_bitmask_zero_dim_rejected(self):
         with pytest.raises(FormatError):
             BitMask(np.zeros((0, 2), dtype=np.uint8))
-
-    def test_point_order_is_row_major(self):
-        assert PointRC(1, 9) < PointRC(2, 0)
-        assert PointRC(1, 2) < PointRC(1, 3)
