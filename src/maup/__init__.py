@@ -21,7 +21,6 @@ from .pipeline import (
     AblationRow,
     EpisodeResult,
     EpisodeSpec,
-    PromptExport,
     Support,
     ablation_run,
     build_export,

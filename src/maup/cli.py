@@ -15,7 +15,7 @@ from .phantom import FAMILIES, PhantomSpec
 from .pipeline import EpisodeSpec, ablation_run, run_episode, save_phantom
 from .prompting import PromptConfig
 from .surrogate import dice, surrogate_segment
-from .tensors import BitMask, ScalarMap, load_tensor
+from .tensors import ScalarMap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,14 +111,13 @@ def _cmd_run(args) -> int:
         config=_config_from_args(args),
         heatmaps=args.heatmaps,
     )
-    export = run_episode(spec)
-    print(f"k_used={export.k_used} positives={len(export.positives)} negatives={len(export.negatives)}")
-    for flag in export.flags:
+    prompts, gt = run_episode(spec)
+    print(f"k_used={prompts.k_used} positives={len(prompts.positives)} negatives={len(prompts.negatives)}")
+    for flag in prompts.flags:
         print(f"flag: {flag}")
     print(f"wrote {Path(args.out) / 'prompts.json'}")
-    if args.query_gt is not None:
-        gt = load_tensor(args.query_gt, expect=BitMask)
-        pred = surrogate_segment(export, ScalarMap(gt.bits.astype("float32")), 0.5)
+    if gt is not None:
+        pred = surrogate_segment(prompts, ScalarMap(gt.bits.astype("float32")), 0.5)
         print(f"surrogate dice vs ground truth: {dice(pred, gt):.4f}")
     return 0
 

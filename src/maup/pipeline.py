@@ -35,7 +35,7 @@ from .regions import (
     voronoi_partition,
 )
 from .simmaps import mean_map, similarity_stack, uncertainty_map, write_pgm
-from .surrogate import PromptExport, build_export, dice, surrogate_segment
+from .surrogate import build_export, dice, surrogate_segment
 from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor, save_tensor
 
 
@@ -158,29 +158,30 @@ def _load(path, expect, stage: str):
         raise type(e)(f"{stage}: {e}") from e
 
 
-def run_episode(spec: EpisodeSpec) -> PromptExport:
-    """Execute a file-level episode and write prompts.json (and heatmaps)."""
+def run_episode(spec: EpisodeSpec) -> tuple[PromptSet, BitMask | None]:
+    """Execute a file-level episode, write prompts.json (and heatmaps), return (prompts, gt or None)."""
     cfg = spec.config
     support_f = _load(spec.support_feature_path, FeatureMap, "support features")
     support_m = _load(spec.support_mask_path, BitMask, "support mask")
     query_f = _load(spec.query_feature_path, FeatureMap, "query features")
+    gt = None
     if spec.query_gt_mask_path is not None:
         gt = _load(spec.query_gt_mask_path, BitMask, "query ground truth")
         if (gt.height, gt.width) != (query_f.height, query_f.width):
             raise ShapeError("query ground truth: H x W does not match query features")
 
     result = execute_episode(support_f, support_m, query_f, cfg)
-    export = build_export(result.prompts, result.n_regions, query_f.height, query_f.width)
+    prompts = build_export(result.prompts, result.n_regions, query_f.height, query_f.width)
 
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "prompts.json").write_text(export.canonical_json())
+    (out_dir / "prompts.json").write_text(prompts.canonical_json())
     if spec.heatmaps:
         write_pgm(result.mean, out_dir / "mean.pgm")
         write_pgm(result.uncertainty, out_dir / "uncertainty.pgm")
         if result.negative is not None:
             write_pgm(result.negative, out_dir / "negative.pgm")
-    return export
+    return prompts, gt
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,8 @@ def ablation_run(
     """
     if not families or not toggles:
         raise ConfigError("need at least one family and one toggle row")
+    if not seeds:
+        raise ConfigError("need at least one sweep seed")
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"sweep seeds must be >= 0, got {min(seeds)}")
     if not math.isfinite(threshold):
@@ -335,8 +338,8 @@ def _score_group(ph: Phantom, cells, n_seeds, streams, memo: dict, threshold: fl
                 if pk not in chosen:
                     chosen[pk] = positive_prompts(mean, uncert, cfg, pos_seed)
                 prompts = select_prompts(chosen[pk], neg_map, cfg, neg_seed)
-                export = build_export(prompts, len(sup.protos), mean.height, mean.width)
-                d = dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
+                prompts = build_export(prompts, len(sup.protos), mean.height, mean.width)
+                d = dice(surrogate_segment(prompts, ph.query_intensity, threshold), ph.query_gt)
                 rows.append(AblationRow(*key, d, "ok"))
             except MaupError as e:
                 rows.append(AblationRow(*key, None, f"failed: {e}"))

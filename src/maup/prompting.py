@@ -16,6 +16,7 @@ draw order, so identical inputs and seed give identical prompts.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -74,6 +75,7 @@ class PromptSet:
 
     Points are M x 2 int64 (row, col) grid arrays. ``sources[i]`` names the path
     that chose positive row i: MEAN_TAG rows first, then UNCERTAINTY_TAG rows.
+    ``n_regions`` is None until :func:`maup.surrogate.build_export` sets it.
     """
 
     positives: np.ndarray
@@ -86,11 +88,42 @@ class PromptSet:
     tau_uncert: float | None = None
     tau_neg: float | None = None
     flags: tuple[str, ...] = ()
+    n_regions: int | None = None
 
     def __post_init__(self):
         negatives = self.negatives.tolist()
         if negatives and set(map(tuple, self.positives.tolist())) & set(map(tuple, negatives)):
             raise OverlapError("positive and negative prompts overlap")
+
+    def to_dict(self) -> dict:
+        """The prompts.json record: label 1 positives, label 0 negatives, at image (x, y)."""
+        positives = to_image_xy(self.positives, self.scale)
+        negatives = to_image_xy(self.negatives, self.scale)
+        return {
+            "positives": [
+                {"x": x, "y": y, "label": 1, "source": source}
+                for (x, y), source in zip(positives.tolist(), self.sources)
+            ],
+            "negatives": [
+                {"x": x, "y": y, "label": 0, "source": "negative"} for x, y in negatives.tolist()
+            ],
+            "k_used": self.k_used,
+            "tau_mean": self.tau_mean,
+            "tau_uncert": self.tau_uncert,
+            "tau_neg": self.tau_neg,
+            "n_regions": self.n_regions,
+            "seed": self.seed,
+            "scale": self.scale,
+            "flags": list(self.flags),
+        }
+
+    def canonical_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def to_image_xy(points: np.ndarray, scale: int) -> np.ndarray:
+    """N x 2 grid (row, col) -> N x 2 image (x, y), center-of-patch convention."""
+    return points[:, ::-1] * scale + scale // 2
 
 
 def episode_seed_streams(seed) -> tuple[np.random.SeedSequence, ...]:

@@ -107,6 +107,8 @@ def dilate(m: BitMask, se: StructuringElement) -> BitMask:
     shifted vertically once per ``dy`` that uses it.
     """
     h, w = m.height, m.width
+    # offsets that stay in the frame all lie within this radius, so a larger disk sets the same bits
+    se = StructuringElement.disk(min(se.radius, math.isqrt((h - 1) ** 2 + (w - 1) ** 2) + 1))
     out = np.zeros_like(m.bits)
     for dxs, dys in se.rows:
         band = np.zeros_like(m.bits)

@@ -36,7 +36,6 @@ from maup.simmaps import (
     percentile_threshold,
     uncertainty_map,
 )
-from maup.surrogate import to_grid_point
 from maup.tensors import BitMask, FeatureMap, ScalarMap
 
 from oracles import (
@@ -180,18 +179,18 @@ def test_containment_suite():
         export = build_export(res.prompts, res.n_regions, ph.query_features.height,
                               ph.query_features.width)
 
-        # candidate-set membership, via the exported (scaled) coordinates
+        # candidate-set membership, via the exported grid points
         mean64 = res.mean.values.astype(np.float64)
         unc64 = res.uncertainty.values.astype(np.float64)
         pos_points = set()
-        for (r, c), source in zip(to_grid_point(export.positives, export.scale).tolist(), export.sources):
+        for (r, c), source in zip(export.positives.tolist(), export.sources):
             pos_points.add((r, c))
             if source == MEAN_TAG:
                 assert mean64[r, c] >= res.prompts.tau_mean
             else:
                 assert unc64[r, c] >= res.prompts.tau_uncert
         neg_points = set()
-        for r, c in to_grid_point(export.negatives, export.scale).tolist():
+        for r, c in export.negatives.tolist():
             neg_points.add((r, c))
             assert res.negative.values.astype(np.float64)[r, c] >= res.prompts.tau_neg
         assert not pos_points & neg_points

@@ -67,6 +67,25 @@ class TestRunCommand:
         assert rc == 0
         assert "surrogate dice" in capsys.readouterr().out
 
+    def test_gt_is_loaded_once(self, tmp_path, monkeypatch, capsys):
+        ph = make_episode_files(tmp_path)
+        loaded = []
+        original = maup.tensors.load_tensor
+
+        def counting(path, *args, **kwargs):
+            loaded.append(Path(path).name)
+            return original(path, *args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("maup")]:
+            if getattr(module, "load_tensor", None) is original:
+                monkeypatch.setattr(module, "load_tensor", counting)
+        rc = main(run_args(ph, tmp_path / "out", "--query-gt", str(ph / "query_gt.maup")))
+        assert rc == 0
+        assert "surrogate dice vs ground truth: 1.0000" in capsys.readouterr().out
+        assert sorted(loaded) == [
+            "query_features.maup", "query_gt.maup", "support_features.maup", "support_mask.maup"
+        ]
+
     def test_no_np_flag(self, tmp_path):
         ph = make_episode_files(tmp_path)
         rc = main(run_args(ph, tmp_path / "out", "--no-np"))
@@ -305,9 +324,11 @@ class TestBadValuesExitTwo:
             ("families = disk\nseeds = 1\nthreshold = nan\n", ("threshold",)),
             ("families = disk\nseeds = 1\nthreshold = inf\n", ("threshold",)),
             ("families = disk\nseeds = 1\nnoise = nan\n", ("noise",)),
+            ("families = disk\nseeds = 0\n", ("seed",)),
+            ("families = disk\nseeds = 3..1\n", ("seed",)),
         ],
         ids=["negative-seeds", "inf-gamma", "misspelt-key", "per-cell-key", "nan-threshold",
-             "inf-threshold", "nan-noise"],
+             "inf-threshold", "nan-noise", "zero-seeds", "empty-seed-range"],
     )
     def test_ablate(self, tmp_path, text, words):
         cfg = tmp_path / "sweep.cfg"

@@ -15,7 +15,7 @@ import maup.pipeline as pl
 from maup.errors import MaupError
 from maup.phantom import Phantom, PhantomSpec
 from maup.pipeline import AblationRow, ablation_run, build_export, dice, execute_episode, surrogate_segment
-from maup.prompting import PromptConfig
+from maup.prompting import PromptConfig, to_image_xy
 from maup.tensors import BitMask, FeatureMap, ScalarMap
 
 TOGGLES = [(True, False, False), (False, True, True), (True, True, True)]
@@ -122,7 +122,7 @@ class TestDegenerateEpisodes:
         if cfg.mmp:
             assert cfg.n_min <= ps.k_used <= cfg.n_max
         export = build_export(ps, first.n_regions, h, w)
-        for x, y in export.positives.tolist() + export.negatives.tolist():
+        for x, y in to_image_xy(np.concatenate([export.positives, export.negatives]), cfg.scale).tolist():
             assert 0 <= x < w * cfg.scale and 0 <= y < h * cfg.scale
 
 

@@ -20,7 +20,6 @@ from maup.pipeline import (
     AblationRow,
     EpisodeResult,
     EpisodeSpec,
-    PromptExport,
     Support,
     ablation_run,
     build_export,
@@ -32,9 +31,8 @@ from maup.pipeline import (
     save_phantom,
     surrogate_segment,
 )
-from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, generate_prompts
+from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, generate_prompts, to_image_xy
 from maup.simmaps import candidate_mask
-from maup.surrogate import to_grid_point, to_image_xy
 from maup.tensors import BitMask, FeatureMap, ScalarMap
 
 from oracles import build_export_reference, flood_oracle, surrogate_reference
@@ -116,24 +114,20 @@ VALID_TOGGLES = [t for t in itertools.product([False, True], repeat=3) if t[0] o
 SWEEP_TOGGLES = [(False, True, False), (True, True, False), (True, True, True)]  # ump | mmp+ump | all
 
 
-def image_xy(points):
-    """(row, col) pairs as the N x 2 int64 (x, y) array an export holds."""
-    return np.array([(x, y) for y, x in points], dtype=np.int64).reshape(-1, 2)
+def grid(points):
+    """(row, col) pairs as an N x 2 int64 grid array."""
+    return np.array(points, dtype=np.int64).reshape(-1, 2)
 
 
 def export_with(points_pos, points_neg, scale=1):
-    return PromptExport(
-        positives=image_xy(points_pos),
-        sources=(MEAN_TAG,) * len(points_pos),
-        negatives=image_xy(points_neg),
-        k_used=len(points_pos),
-        tau_mean=None,
-        tau_uncert=None,
-        tau_neg=None,
-        n_regions=1,
-        seed=0,
-        scale=scale,
-    )
+    """An exported prompt set of (row, col) grid points, whose negatives may repeat a positive.
+
+    The surrogate accepts any points, so the negatives are set past PromptSet's overlap check.
+    """
+    sources = (MEAN_TAG,) * len(points_pos)
+    ps = PromptSet(grid(points_pos), sources, grid([]), len(points_pos), 0, scale, n_regions=1)
+    object.__setattr__(ps, "negatives", grid(points_neg))
+    return ps
 
 
 def labelled_reference(above, positives, negatives):
@@ -173,7 +167,6 @@ class TestCoordinateExport:
         points = np.array([[0, 0], [3, 9], [31, 31]])
         xy = to_image_xy(points, scale)
         assert xy.dtype == np.int64 and xy.shape == (3, 2)
-        assert np.array_equal(to_grid_point(xy, scale), points)
         assert to_image_xy(np.empty((0, 2), dtype=np.int64), scale).shape == (0, 2)
 
     def test_center_of_patch_convention(self):
@@ -185,7 +178,7 @@ class TestCoordinateExport:
         cfg = PromptConfig(seed=1, scale=14)
         res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
         export = build_export(res.prompts, res.n_regions, 32, 32)
-        for x, y in np.concatenate([export.positives, export.negatives]).tolist():
+        for x, y in to_image_xy(np.concatenate([export.positives, export.negatives]), export.scale).tolist():
             assert 0 <= x < 32 * 14
             assert 0 <= y < 32 * 14
 
@@ -236,7 +229,7 @@ class TestExecuteEpisode:
         res = execute_episode(support_f, BitMask(bits), query_f, PromptConfig(seed=4, scale=1))
         assert res.mean.values.shape == (24, 20)
         export = build_export(res.prompts, res.n_regions, 24, 20)
-        for x, y in np.concatenate([export.positives, export.negatives]).tolist():
+        for x, y in to_image_xy(np.concatenate([export.positives, export.negatives]), export.scale).tolist():
             assert 0 <= x < 20 and 0 <= y < 24
 
     def test_containment_of_all_prompt_kinds(self):
@@ -382,7 +375,7 @@ class TestRunEpisode:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_np_off_exports_no_negatives(self, tmp_path):
-        export, prompts_path = self.run_disk_episode(tmp_path, seed=5, np=False)
+        (export, _), prompts_path = self.run_disk_episode(tmp_path, seed=5, np=False)
         assert export.negatives.shape == (0, 2)
         assert json.loads(prompts_path.read_text())["negatives"] == []
 
@@ -453,6 +446,13 @@ class TestRunEpisode:
         )
         with pytest.raises(ShapeError, match="ground truth"):
             run_episode(spec)
+        assert not (tmp_path / "out" / "prompts.json").exists()
+
+    def test_returns_the_ground_truth_it_checked(self, tmp_path):
+        (prompts, gt), _ = self.run_disk_episode(tmp_path, seed=7)
+        want = generate_phantom(PhantomSpec(family="disk", contrast=1.0, noise=0.0, seed=7)).query_gt
+        assert np.array_equal(gt.bits, want.bits)
+        assert prompts.n_regions == 30
 
 
 class TestSurrogate:
@@ -518,17 +518,14 @@ class TestSurrogate:
 
     def test_scaled_prompts_map_back_to_grid(self):
         gt_like = disk_intensity(16, 16, 8, 8, 4)
-        export = PromptExport(
-            positives=np.array([[8 * 14 + 7, 8 * 14 + 7]]),
+        export = PromptSet(
+            positives=np.array([[8, 8]]),
             sources=(MEAN_TAG,),
             negatives=np.empty((0, 2), dtype=np.int64),
             k_used=1,
-            tau_mean=None,
-            tau_uncert=None,
-            tau_neg=None,
-            n_regions=1,
             seed=0,
             scale=14,
+            n_regions=1,
         )
         out = surrogate_segment(export, gt_like, 0.5)
         assert out.foreground_count == (gt_like.values >= 0.5).sum()
@@ -585,12 +582,11 @@ class TestArrayExportReference:
     def test_surrogate_matches_the_point_loop(self, frame, data):
         h, w, scale = frame
         above = data.draw(arrays(np.bool_, (h, w)))
-        # any image pixel near the scaled frame, centred on a patch or not
-        lo, hi = (-2 * scale, -2 * scale), ((w + 2) * scale, (h + 2) * scale)
-        pos = point_arrays(data.draw, lo, hi, 6)
-        neg = point_arrays(data.draw, lo, hi, 4)
-        export = replace(export_with([], [], scale), positives=pos, sources=(MEAN_TAG,) * len(pos), negatives=neg)
+        # grid points up to two pixels off the frame; a negative may repeat a positive
+        lo, hi = (-2, -2), (h + 2, w + 2)
+        export = export_with(point_arrays(data.draw, lo, hi, 6), point_arrays(data.draw, lo, hi, 4), scale)
         got = shape_error_or(lambda: surrogate_segment(export, ScalarMap(above.astype(np.float32)), 0.5).bits)
+        # the reference maps the written image points back; build_export would refuse the off-frame ones
         want = shape_error_or(lambda: np.array(surrogate_reference(export.to_dict(), above), dtype=np.uint8))
         if isinstance(want, tuple):
             assert got == want
@@ -855,6 +851,15 @@ class TestAblation:
         monkeypatch.setattr(pl, "generate_phantom", lambda spec: calls.append(spec))
         with pytest.raises(ConfigError, match="threshold"):
             ablation_run([PhantomSpec(family="disk")], [(True, True, True)], threshold=threshold)
+        assert calls == []
+
+    @pytest.mark.parametrize("seeds", [[], range(3, 1)])
+    def test_no_seeds_fails_before_any_cell(self, monkeypatch, seeds):
+        # an empty seed list would write a header-only report and read as success
+        calls = []
+        monkeypatch.setattr(pl, "generate_phantom", lambda spec: calls.append(spec))
+        with pytest.raises(ConfigError, match="seed"):
+            ablation_run([PhantomSpec(family="disk")], [(True, True, True)], seeds=list(seeds))
         assert calls == []
 
     def test_export_bounds_guard(self):

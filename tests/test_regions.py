@@ -1,8 +1,9 @@
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -271,6 +272,42 @@ class TestDilate:
         out = dilate(m, se).bits
         want = dilate_reference(m, se)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.integers(1, 24).flatmap(
+            lambda h: st.integers(1, 24).flatmap(
+                lambda w: arrays(np.uint8, (h, w), elements=st.integers(0, 1))
+            )
+        )
+    )
+    @example(bits=np.ones((1, 1), dtype=np.uint8))
+    @example(bits=np.array([[0, 0, 1, 0, 0, 0, 0]], dtype=np.uint8))
+    @example(bits=np.array([[0], [0], [0], [0], [1]], dtype=np.uint8))
+    def test_huge_radius_equals_the_frame_bound(self, bits):
+        m = BitMask(bits)
+        bound = math.isqrt((m.height - 1) ** 2 + (m.width - 1) ** 2) + 1
+        want = dilate_reference(m, StructuringElement.disk(bound))
+        assert dilate(m, StructuringElement.disk(10**9)).bits.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 6), (6, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_loop_oracle_past_the_frame_bound(self, shape, seed):
+        m = random_mask(seed, *shape, density=0.2, non_empty=False)
+        bound = math.isqrt((m.height - 1) ** 2 + (m.width - 1) ** 2) + 1
+        for r in range(1, bound + 4):
+            se = StructuringElement.disk(r)
+            want = np.array(dilate_oracle(m.bits, se.offsets), dtype=np.uint8)
+            assert np.array_equal(dilate(m, se).bits, want), r
+
+    def test_large_radius_builds_no_large_disk(self):
+        # each distinct row of a disk is one Python set of 2*half+1 ints, so the
+        # element's rows cost time and memory quadratic in its radius
+        m = random_mask(7, 32, 32)
+        se = StructuringElement(radius=3200)  # not the cached disk(3200)
+        out = dilate(m, se)
+        assert "rows" not in vars(se)
+        assert np.array_equal(out.bits, dilate(m, StructuringElement.disk(45)).bits)
 
     def test_extensive_and_increasing(self):
         se = StructuringElement.disk(2)
