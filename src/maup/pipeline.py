@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyMaskError, MaupError, ShapeError
-from .phantom import Phantom, PhantomSpec, generate_phantom
+from .phantom import PhantomSpec, generate_phantom
 from .prompting import (
     PromptConfig,
     PromptSet,
@@ -80,10 +80,37 @@ def prepare_support(
     Uses ``cfg.n_regions`` and ``cfg.seed``; with ``cfg.np`` set it also
     pools the periphery band of radius ``cfg.radius``.
     """
-    fps_seed, _, _ = episode_seed_streams(cfg.seed)
-    seeds = _seeds(support_features, support_mask, cfg.n_regions, fps_seed)
-    band = periphery_mask(support_mask, StructuringElement.disk(cfg.radius)) if cfg.np else None
-    return _prepare(support_features, support_mask, seeds, band)
+    return _support({}, support_features, support_mask, cfg, cfg.n_regions)
+
+
+def _once(memo: dict, key, fn, *args):
+    """``fn(*args)``, computed once per ``memo`` key; a MaupError it raised is raised again."""
+    if key not in memo:
+        try:
+            memo[key] = fn(*args)
+        except MaupError as e:
+            memo[key] = e
+            raise
+    if isinstance(memo[key], MaupError):
+        raise memo[key]
+    return memo[key]
+
+
+def _support(memo: dict, f: FeatureMap, m: BitMask, cfg: PromptConfig, n_seeds: int) -> Support:
+    """The support of ``cfg``, its seeds a prefix of one greedy draw for ``n_seeds`` regions.
+
+    Memo keys: "streams", "seeds", "band" (with ``cfg.np`` only) and
+    ("support", n_f, np). A negative-path-off support is the negative-path-on
+    one at the same n_f without its periphery row when the memo holds that:
+    the band is pooled as label P, so the regional rows are equal.
+    """
+    fps_seed, _, _ = _once(memo, "streams", episode_seed_streams, cfg.seed)
+    seeds = _once(memo, "seeds", _seeds, f, m, n_seeds, fps_seed)[: cfg.n_regions]
+    on = memo.get(("support", cfg.n_regions, True))
+    if not cfg.np and isinstance(on, Support):
+        return on._replace(periphery=None)
+    band = _once(memo, "band", periphery_mask, m, StructuringElement.disk(cfg.radius)) if cfg.np else None
+    return _once(memo, ("support", cfg.n_regions, cfg.np), _prepare, f, m, seeds, band)
 
 
 def _seeds(features: FeatureMap, mask: BitMask, n: int, fps_seed) -> np.ndarray:
@@ -121,7 +148,7 @@ def query_maps(
     regional = stack[: len(support.protos)]
     mean = mean_map(regional)
     uncert = uncertainty_map(regional, mean)
-    return mean, uncert, ScalarMap(stack[-1]) if with_neg else None
+    return mean, uncert, ScalarMap(stack[-1].copy()) if with_neg else None  # not a view pinning the stack
 
 
 def execute_episode(
@@ -135,20 +162,26 @@ def execute_episode(
     The steps are :func:`prepare_support`, :func:`query_maps` and
     :func:`generate_prompts`, with the seed streams derived once.
     """
-    fps_seed, pos_seed, neg_seed = episode_seed_streams(cfg.seed)
-    seeds = _seeds(support_features, support_mask, cfg.n_regions, fps_seed)
-    band = periphery_mask(support_mask, StructuringElement.disk(cfg.radius)) if cfg.np else None
-    support = _prepare(support_features, support_mask, seeds, band)
-    mean, uncert, neg_map = query_maps(support, query_features, cfg)
-    prompts = select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg_map, cfg, neg_seed)
-    return EpisodeResult(
-        prompts=prompts,
-        partition=support.labels,
-        mean=mean,
-        uncertainty=uncert,
-        negative=neg_map,
-        n_regions=len(support.protos),
-    )
+    return _episode({}, support_features, support_mask, query_features, cfg, cfg.n_regions)
+
+
+def _episode(
+    memo: dict, f: FeatureMap, m: BitMask, q: FeatureMap, cfg: PromptConfig, n_seeds: int
+) -> EpisodeResult:
+    """:func:`execute_episode` with every stage up to the positives looked up in ``memo``.
+
+    Memo keys beyond :func:`_support`'s: ("maps", n_f, np) and ("positives",
+    mean bytes, uncertainty bytes, mmp, ump), so equal maps share positives.
+    Keys name only n_f and the toggles: one memo serves one support, query
+    and seed, with every other config field the same.
+    """
+    support = _support(memo, f, m, cfg, n_seeds)
+    mean, uncert, neg_map = _once(memo, ("maps", cfg.n_regions, cfg.np), query_maps, support, q, cfg)
+    _, pos_seed, neg_seed = _once(memo, "streams", episode_seed_streams, cfg.seed)
+    key = ("positives", mean.values.tobytes(), uncert.values.tobytes(), cfg.mmp, cfg.ump)
+    positives = _once(memo, key, positive_prompts, mean, uncert, cfg, pos_seed)
+    prompts = select_prompts(positives, neg_map, cfg, neg_seed)
+    return EpisodeResult(prompts, support.labels, mean, uncert, neg_map, len(support.protos))
 
 
 def _load(path, expect, stage: str):
@@ -253,10 +286,10 @@ def ablation_run(
     """Sweep toggle rows (and optionally region counts) over phantom families.
 
     Every (family, toggle, n_f, seed) cell is one episode scored with the
-    surrogate segmenter; each value is computed once for the cells it serves
-    (see :func:`_score_group`). Failed cells keep their row with an empty
-    dice and a failure note. Rows come back sorted by family name, toggles,
-    n_f and seed.
+    surrogate segmenter. The cells of one (family, seed) share one memo, so
+    each value is computed once for the cells it serves (see :func:`_episode`).
+    Failed cells keep their row with an empty dice and a failure note. Rows
+    come back sorted by family name, toggles, n_f and seed.
     """
     if not families or not toggles:
         raise ConfigError("need at least one family and one toggle row")
@@ -268,82 +301,26 @@ def ablation_run(
         raise ConfigError(f"threshold must be finite, got {threshold}")
     base = base_config if base_config is not None else PromptConfig(scale=1)
     nfs = list(nf_values) if nf_values else [base.n_regions]
+    toggles = sorted(toggles, key=lambda t: not t[2])  # negative path on first: off rows reuse its support
 
     rows = []
     for fam, seed in product(families, seeds):
-        try:
-            ph = generate_phantom(replace(fam, seed=seed))
-        except MaupError as e:
-            ph = e  # each cell of this (family, seed) fails with it
-        streams = episode_seed_streams(seed)
-        memo = {}  # the phantom's seeds and band, shared by every n_f
-        for nf in nfs:
-            cells = []  # (row key, config) of this (family, n_f, seed)
-            for mmp, ump, np_ in toggles:
-                key = (fam.family, mmp, ump, np_, nf, seed)
-                try:
-                    cells.append(
-                        (key, replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1))
-                    )
-                except MaupError as e:  # a config error wins over a phantom error
-                    rows.append(AblationRow(*key, None, f"failed: {e}"))
-            if isinstance(ph, MaupError):
-                rows += _failed(cells, ph)
-            elif cells:  # only n_f >= 1 is valid: max(nfs) is the largest valid n_f
-                rows += _score_group(ph, cells, max(nfs), streams, memo, threshold)
-    rows.sort(key=AblationRow.sort_key)
-    return AblationReport(rows=tuple(rows))
-
-
-def _failed(cells, e: MaupError) -> list[AblationRow]:
-    """One failed row per (row key, config) cell."""
-    return [AblationRow(*key, None, f"failed: {e}") for key, _ in cells]
-
-
-def _score_group(ph: Phantom, cells, n_seeds, streams, memo: dict, threshold: float) -> list[AblationRow]:
-    """Score the cells of one (family, n_f, seed) from one support, pooled once.
-
-    Seeds (a prefix of one greedy draw for ``n_seeds`` regions) and band come from
-    the phantom's ``memo``. Where the two row sets' regional maps are equal, the
-    negative-path-on set reuses the off maps and the positives selected from them.
-    """
-    fps_seed, pos_seed, neg_seed = streams
-    off = [c for c in cells if not c[1].np]
-    on = [c for c in cells if c[1].np]
-    f, m, disk = ph.support_features, ph.support_mask, StructuringElement.disk(cells[0][1].radius)
-    try:  # a memo entry is computed once (again if it raised)
-        if "seeds" not in memo:
-            memo["seeds"] = _seeds(f, m, n_seeds, fps_seed)
-        if on and "band" not in memo:
-            memo["band"] = periphery_mask(m, disk)
-        support = _prepare(f, m, memo["seeds"][: cells[0][1].n_regions], memo["band"] if on else None)
-    except MaupError as e:  # the failure may be the band's, which fails only the np-on cells
-        rest = _score_group(ph, off, n_seeds, streams, memo, threshold) if on and off else _failed(off, e)
-        return _failed(on, e) + rest
-    rows, chosen, shared = [], {}, None
-    for row_set, sup in ((off, support._replace(periphery=None)), (on, support)):
-        if not row_set:
-            continue
-        try:
-            mean, uncert, neg_map = query_maps(sup, ph.query_features, row_set[0][1])
-        except MaupError as e:
-            rows += _failed(row_set, e)
-            continue
-        if shared and all(np.array_equal(a.values, b.values) for a, b in zip(shared, (mean, uncert))):
-            mean, uncert = shared
-        shared = mean, uncert
-        for key, cfg in row_set:
-            try:
-                pk = (mean, uncert, cfg.mmp, cfg.ump)
-                if pk not in chosen:
-                    chosen[pk] = positive_prompts(mean, uncert, cfg, pos_seed)
-                prompts = select_prompts(chosen[pk], neg_map, cfg, neg_seed)
-                prompts = build_export(prompts, len(sup.protos), mean.height, mean.width)
+        spec, memo = replace(fam, seed=seed), {}
+        for nf, (mmp, ump, np_) in product(nfs, toggles):
+            key = (fam.family, mmp, ump, np_, nf, seed)
+            try:  # a config error wins over a phantom error
+                cfg = replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1)
+                ph = _once(memo, "phantom", generate_phantom, spec)
+                # only n_f >= 1 is valid: max(nfs) is the largest valid n_f
+                res = _episode(memo, ph.support_features, ph.support_mask, ph.query_features, cfg, max(nfs))
+                h, w = ph.query_features.height, ph.query_features.width
+                prompts = build_export(res.prompts, res.n_regions, h, w)
                 d = dice(surrogate_segment(prompts, ph.query_intensity, threshold), ph.query_gt)
                 rows.append(AblationRow(*key, d, "ok"))
             except MaupError as e:
                 rows.append(AblationRow(*key, None, f"failed: {e}"))
-    return rows
+    rows.sort(key=AblationRow.sort_key)
+    return AblationReport(rows=tuple(rows))
 
 
 def save_phantom(spec: PhantomSpec, out_dir) -> dict[str, Path]:

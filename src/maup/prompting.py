@@ -122,8 +122,12 @@ class PromptSet:
 
 
 def to_image_xy(points: np.ndarray, scale: int) -> np.ndarray:
-    """N x 2 grid (row, col) -> N x 2 image (x, y), center-of-patch convention."""
-    return points[:, ::-1] * scale + scale // 2
+    """N x 2 grid (row, col) -> N x 2 image (x, y), center-of-patch convention, exact for any scale."""
+    xy = points[:, ::-1].astype(object) * int(scale) + int(scale) // 2
+    try:
+        return xy.astype(np.int64)  # int64 where every coordinate fits, Python ints otherwise
+    except OverflowError:
+        return xy
 
 
 def episode_seed_streams(seed) -> tuple[np.random.SeedSequence, ...]:
@@ -304,7 +308,7 @@ def negative_prompts(
     positives: np.ndarray,
     n_neg: int,
     seed,
-    percentile: float = 95.0,
+    percentile: float,
 ) -> tuple[np.ndarray, float]:
     """Spread negative prompts over the hottest periphery-similarity pixels.
 

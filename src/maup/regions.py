@@ -35,11 +35,6 @@ class StructuringElement:
         return cls(radius=radius)
 
     @cached_property
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        span = range(-self.radius, self.radius + 1)
-        return tuple((dy, dx) for dy in span for dx in span if dy * dy + dx * dx <= self.radius**2)
-
-    @cached_property
     def rows(self) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
         """(dxs, dys) pairs: each distinct set of dx and the dy values whose offsets use it."""
         by_half: dict[int, tuple[int, ...]] = {}  # row dy of the disk spans dx in [-half, half]

@@ -81,6 +81,12 @@ def variance_oracle(maps):
     return out
 
 
+def disk_offsets(radius):
+    """Every offset (dy, dx) of the discrete disk: dy^2 + dx^2 <= radius^2."""
+    span = range(-radius, radius + 1)
+    return tuple((dy, dx) for dy in span for dx in span if dy * dy + dx * dx <= radius**2)
+
+
 def dilate_oracle(bits, offsets):
     """Dilation by checking every offset at every output pixel."""
     h, w = bits.shape

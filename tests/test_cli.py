@@ -86,6 +86,22 @@ class TestRunCommand:
             "query_features.maup", "query_gt.maup", "support_features.maup", "support_mask.maup"
         ]
 
+    @pytest.mark.parametrize("scale", [10**18, 10**20])
+    def test_huge_scale_writes_exact_in_frame_coordinates(self, tmp_path, scale):
+        # int64 arithmetic wrapped 10**18 to negative coordinates and overflowed on 10**20
+        ph = make_episode_files(tmp_path)
+        assert main(run_args(ph, tmp_path / "unit", "--scale", "1")) == 0
+        proc = run_cli_process(run_args(ph, tmp_path / "out", "--scale", str(scale)))
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        unit = json.loads((tmp_path / "unit" / "prompts.json").read_text())
+        got = json.loads((tmp_path / "out" / "prompts.json").read_text())
+        assert got["scale"] == scale and got["positives"]
+        for side in ("positives", "negatives"):
+            assert len(got[side]) == len(unit[side])
+            for p, q in zip(got[side], unit[side]):
+                assert (p["x"], p["y"]) == (q["x"] * scale + scale // 2, q["y"] * scale + scale // 2)
+                assert 0 <= p["x"] < 32 * scale and 0 <= p["y"] < 32 * scale
+
     def test_no_np_flag(self, tmp_path):
         ph = make_episode_files(tmp_path)
         rc = main(run_args(ph, tmp_path / "out", "--no-np"))

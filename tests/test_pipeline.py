@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, g
 from maup.simmaps import candidate_mask
 from maup.tensors import BitMask, FeatureMap, ScalarMap
 
-from oracles import build_export_reference, flood_oracle, surrogate_reference
+from oracles import build_export_reference, flood_oracle, surrogate_reference, to_image_xy_reference
 
 GOLDEN = Path(__file__).parent / "golden" / "prompts_disk_seed7.json"
 # a ViT-patch-scale episode (37x37 grid, 1024 channels) at nf=60, negative path on / off
@@ -168,6 +169,17 @@ class TestCoordinateExport:
         xy = to_image_xy(points, scale)
         assert xy.dtype == np.int64 and xy.shape == (3, 2)
         assert to_image_xy(np.empty((0, 2), dtype=np.int64), scale).shape == (0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=arrays(np.int64, st.tuples(st.integers(0, 5), st.just(2)), elements=st.integers(0, 4096)),
+        scale=st.integers(1, 10**30),
+    )
+    @example(points=np.array([[0, 0], [31, 31]]), scale=10**18)  # wrapped to negative in int64
+    @example(points=np.array([[31, 31]]), scale=10**20)  # past int64 before any product
+    def test_image_coords_are_exact_at_any_scale(self, points, scale):
+        want = [list(to_image_xy_reference(row, col, scale)) for row, col in points.tolist()]
+        assert to_image_xy(points, scale).tolist() == want
 
     def test_center_of_patch_convention(self):
         assert to_image_xy(np.array([[2, 3]]), 14).tolist() == [[3 * 14 + 7, 2 * 14 + 7]]
@@ -329,6 +341,15 @@ class TestSupportQuerySplit:
         support = prepare_support(f, full, PromptConfig(n_regions=3))
         assert support.periphery is None
         assert query_maps(support, f, PromptConfig(n_regions=3))[2] is None
+
+    def test_periphery_map_owns_its_values(self):
+        # a view into the (P+1)-row product would keep the whole product alive with the map
+        ph = generate_phantom(PhantomSpec(family="disk", seed=2))
+        cfg = PromptConfig(n_regions=7, seed=2)
+        res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
+        assert res.negative is not None and res.negative.values.flags.owndata
+        support = prepare_support(ph.support_features, ph.support_mask, cfg)
+        assert query_maps(support, ph.query_features, cfg)[2].values.flags.owndata
 
     def test_query_channel_mismatch(self):
         f = FeatureMap(np.zeros((2, 4, 4), dtype=np.float32))
@@ -705,49 +726,65 @@ class TestAblation:
         for row in report.rows:
             assert row.status == (f"failed: synthetic {stage} failure" if fails(row) else "ok"), row
 
-    def test_shared_work_per_sweep_call(self, monkeypatch):
-        counts = {}
+    # counted stages of one sweep call, in the order of its expected counts
+    SHARED_STAGES = [
+        "episode_seed_streams",  # one per (family, seed)
+        "farthest_point_seeds",  # one seeding per (family, seed), a prefix per n_f
+        "periphery_mask",  # one band per (family, seed), none without the negative path
+        "voronoi_partition",  # one support per (family, n_f, seed)
+        "regional_prototypes",
+        "similarity_stack",  # one product per row set: negative path off, on
+        "positive_prompts",  # one per distinct (maps, mmp, ump)
+        "select_prompts",  # the rest of prompting stays per cell
+    ]
+
+    def shared_work(self, monkeypatch, tmp_path, toggles):
+        """Stage calls of one sweep call over every family and five n_f; its CSV must equal the reference."""
+        counts = dict.fromkeys(self.SHARED_STAGES, 0)
 
         def counting(name):
             real = getattr(pl, name)
 
             def counted(*args):
-                counts[name] = counts.get(name, 0) + 1
+                counts[name] += 1
                 return real(*args)
 
             return counted
 
-        names = [
-            "episode_seed_streams",
-            "farthest_point_seeds",
-            "voronoi_partition",
-            "regional_prototypes",
-            "periphery_mask",
-            "similarity_stack",
-            "positive_prompts",
-            "select_prompts",
-        ]
-        for name in names:
+        for name in self.SHARED_STAGES:
             monkeypatch.setattr(pl, name, counting(name))
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
-        report = ablation_run(families, SWEEP_TOGGLES, nf_values=[1, 5, 15, 30, 60], seeds=[0])
-        assert len(report.rows) == 60 and all(r.status == "ok" for r in report.rows)
-        assert counts == {
-            "episode_seed_streams": 4,  # one per (family, seed)
-            "farthest_point_seeds": 4,  # one seeding per (family, seed), a prefix per n_f
-            "periphery_mask": 4,  # one band per (family, seed)
-            "voronoi_partition": 20,  # one support per (family, n_f, seed)
-            "regional_prototypes": 20,
-            "similarity_stack": 40,  # one product per row set: negative path off, on
-            "positive_prompts": 40,  # ump and mmp+ump; mmp+ump+np reuses the equal off maps
-            "select_prompts": 60,  # the rest of prompting stays per cell
-        }
+        args = (families, toggles, [1, 5, 15, 30, 60], [0])
+        report = ablation_run(*args)
+        assert len(report.rows) == 20 * len(toggles) and all(r.status == "ok" for r in report.rows)
+        got = tuple(counts.values())
+        report.write_csv(tmp_path / "got.csv")
+        reference_ablation(*args).write_csv(tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        return got
+
+    def test_shared_work_per_sweep_call(self, monkeypatch, tmp_path):
+        # positives: ump and mmp+ump; mmp+ump+np shares the mmp+ump ones, its maps being equal
+        assert self.shared_work(monkeypatch, tmp_path, SWEEP_TOGGLES) == (4, 4, 4, 20, 20, 40, 40, 60)
+
+    @pytest.mark.parametrize(
+        "toggles, want",
+        [
+            (SWEEP_TOGGLES[::-1], (4, 4, 4, 20, 20, 40, 40, 60)),
+            ([(True, True, True)], (4, 4, 4, 20, 20, 20, 20, 20)),
+            (SWEEP_TOGGLES[:2], (4, 4, 0, 20, 20, 20, 40, 40)),
+        ],
+        ids=["reversed", "all-on", "np-off-rows"],
+    )
+    def test_shared_work_in_any_toggle_order_or_subset(self, monkeypatch, tmp_path, toggles, want):
+        assert self.shared_work(monkeypatch, tmp_path, toggles) == want
 
     def test_unequal_maps_select_positives_per_row_set(self, monkeypatch, tmp_path):
         # one ulp up at pixel (0, 0) of every regional row of the negative-path-on
         # product at n_f 5 (5 regional rows and the periphery row): that group's
-        # maps no longer equal the off maps, so its mmp+ump+np row selects its own
-        # positives, while the other groups still share theirs
+        # maps no longer equal the off maps, so its mmp+ump rows with the negative
+        # path on and off select their positives apart, while the other groups
+        # still share theirs
         real_stack, real_positives = pl.similarity_stack, pl.positive_prompts
         calls = []
 
@@ -758,7 +795,7 @@ class TestAblation:
             return stack
 
         def counted(mean, uncert, cfg, seed):
-            calls.append((cfg.n_regions, cfg.np))
+            calls.append((cfg.n_regions, cfg.mmp))
             return real_positives(mean, uncert, cfg, seed)
 
         monkeypatch.setattr(pl, "similarity_stack", nudged)
@@ -767,9 +804,26 @@ class TestAblation:
         args = (families, SWEEP_TOGGLES, [1, 5, 15, 30, 60], [0])
         ablation_run(*args).write_csv(tmp_path / "got.csv")
         assert len(calls) == 40 + len(FAMILIES)
-        assert sorted(nf for nf, np_ in calls if np_) == [5] * len(FAMILIES)
+        per_nf = Counter(nf for nf, mmp in calls if mmp)  # mmp+ump selections per n_f, over the families
+        assert per_nf == {nf: (2 if nf == 5 else 1) * len(FAMILIES) for nf in [1, 5, 15, 30, 60]}
         reference_ablation(*args).write_csv(tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_a_failing_band_is_computed_once_per_family_and_seed(self, monkeypatch):
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise EmptyMaskError("synthetic periphery_mask failure")
+
+        monkeypatch.setattr(pl, "periphery_mask", broken)
+        families = [PhantomSpec(family="disk"), PhantomSpec(family="ellipse")]
+        args = (families, SWEEP_TOGGLES, [1, 5, 15], [0, 1])
+        report = ablation_run(*args)
+        assert len(calls) == 2 * 2  # (family, seed) pairs
+        assert report == reference_ablation(*args)
+        for row in report.rows:
+            assert row.status == ("failed: synthetic periphery_mask failure" if row.np else "ok"), row
 
     def test_phantom_generated_once_per_family_and_seed(self, monkeypatch):
         import maup.pipeline as pl

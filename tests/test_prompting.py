@@ -604,7 +604,7 @@ class TestNegativePrompts:
     def test_constant_map_spreads_three(self):
         neg = scalar(np.zeros((8, 8)))
         positives = [(0, 0), (1, 1)]
-        out, tau = negative_prompts(neg, positives, 3, 0)
+        out, tau = negative_prompts(neg, positives, 3, 0, 95.0)
         assert tau == 0.0
         assert len(out) == 3
         assert not set(as_points(out)) & set(positives)
@@ -615,7 +615,7 @@ class TestNegativePrompts:
         ring = (d2 >= 16) & (d2 <= 36)
         vals = np.where(ring, 0.9, -0.2).astype(np.float32)
         neg = ScalarMap(vals)
-        out, _ = negative_prompts(neg, [(8, 8)], 3, 1)
+        out, _ = negative_prompts(neg, [(8, 8)], 3, 1, 95.0)
         assert len(out) == 3
         for r, c in as_points(out):
             assert ring[r, c]
@@ -624,12 +624,12 @@ class TestNegativePrompts:
         vals = np.zeros((4, 4), dtype=np.float32)
         vals[0, 0] = vals[0, 1] = 1.0
         neg = ScalarMap(vals)
-        out, tau = negative_prompts(neg, [(0, 0), (0, 1)], 3, 0)
+        out, tau = negative_prompts(neg, [(0, 0), (0, 1)], 3, 0, 95.0)
         assert as_points(out) == [] and tau == 1.0
 
     def test_bad_n_neg(self):
         with pytest.raises(ConfigError):
-            negative_prompts(scalar(np.zeros((4, 4))), [], 0, 0)
+            negative_prompts(scalar(np.zeros((4, 4))), [], 0, 0, 95.0)
 
     def test_prompt_set_rejects_overlap(self):
         with pytest.raises(OverlapError, match="positive and negative prompts overlap") as exc:
@@ -651,7 +651,7 @@ class TestNegativePrompts:
         rng = np.random.default_rng(6)
         neg = ScalarMap(rng.standard_normal((12, 12)).astype(np.float32) * 0.3)
         positives = [(0, 0)]
-        out, tau_neg = negative_prompts(neg, positives, 3, 2)
+        out, tau_neg = negative_prompts(neg, positives, 3, 2, 95.0)
         tau = percentile_threshold(neg, 95.0)
         assert tau_neg == tau
         q_neg = set(as_points(np.argwhere(candidate_mask(neg, tau, "negative"))))
