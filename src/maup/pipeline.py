@@ -34,8 +34,8 @@ from .regions import (
     periphery_mask,
     voronoi_partition,
 )
-from .simmaps import mean_map, similarity_stack, uncertainty_map, write_pgm
-from .surrogate import build_export, dice, surrogate_segment
+from .simmaps import cosine_rows, mean_map, query_side, similarity_scores, uncertainty_map, write_pgm
+from .surrogate import build_export, component_mask, dice, label_components, surrogate_segment
 from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor, save_tensor
 
 
@@ -140,15 +140,37 @@ def query_maps(
     set and the support has one, the periphery row as its last row; the
     periphery map is None otherwise.
     """
-    if query_features.channels != support.protos.shape[1]:
+    return _maps({}, support, query_features, cfg)
+
+
+def _maps(memo: dict, support: Support, q: FeatureMap, cfg: PromptConfig):
+    """:func:`query_maps` with the query side looked up in ``memo``.
+
+    Memo keys: "query" (the query's float64 features and pixel norms) and
+    ("sibling", n_f), which a negative-path-on row set leaves for the
+    negative-path-off one at the same n_f: its prototypes, raw product and
+    maps. The off row set takes those maps when its prototypes and product
+    equal the first rows of the on ones. The cosines are elementwise with
+    per-row norms, so equal rows give equal bytes; both products still run,
+    since a P-row product need not equal the first P rows of a longer one.
+    """
+    if q.channels != support.protos.shape[1]:
         raise ShapeError("support and query features disagree on channel count")
+    n = len(support.protos)
     with_neg = cfg.np and support.periphery is not None
     protos = np.vstack([support.protos, support.periphery]) if with_neg else support.protos
-    stack = similarity_stack(query_features, protos)
-    regional = stack[: len(support.protos)]
-    mean = mean_map(regional)
-    uncert = uncertainty_map(regional, mean)
-    return mean, uncert, ScalarMap(stack[-1].copy()) if with_neg else None  # not a view pinning the stack
+    feats, pix_norm = _once(memo, "query", query_side, q)
+    scores = similarity_scores(protos, feats)
+    if not cfg.np and ("sibling", cfg.n_regions) in memo:
+        on_protos, on_scores, mean, uncert = memo.pop(("sibling", cfg.n_regions))  # one product per n_f alive
+        if np.array_equal(protos, on_protos[:n]) and np.array_equal(scores, on_scores[:n]):
+            return mean, uncert, None
+    cosines = cosine_rows(scores, protos, pix_norm).reshape(-1, q.height, q.width)
+    mean = mean_map(cosines[:n])
+    uncert = uncertainty_map(cosines[:n], mean)
+    if cfg.np:
+        memo[("sibling", cfg.n_regions)] = (protos, scores, mean, uncert)
+    return mean, uncert, ScalarMap(cosines[-1].copy()) if with_neg else None  # not a view pinning the rows
 
 
 def execute_episode(
@@ -159,8 +181,9 @@ def execute_episode(
 ) -> EpisodeResult:
     """Run the full prompting chain on in-memory tensors.
 
-    The steps are :func:`prepare_support`, :func:`query_maps` and
-    :func:`generate_prompts`, with the seed streams derived once.
+    The steps are :func:`prepare_support`, :func:`query_maps`,
+    :func:`~maup.prompting.positive_prompts` and
+    :func:`~maup.prompting.select_prompts`, with the seed streams derived once.
     """
     return _episode({}, support_features, support_mask, query_features, cfg, cfg.n_regions)
 
@@ -170,13 +193,14 @@ def _episode(
 ) -> EpisodeResult:
     """:func:`execute_episode` with every stage up to the positives looked up in ``memo``.
 
-    Memo keys beyond :func:`_support`'s: ("maps", n_f, np) and ("positives",
-    mean bytes, uncertainty bytes, mmp, ump), so equal maps share positives.
+    Memo keys beyond :func:`_support`'s and :func:`_maps`': ("maps", n_f, np)
+    and ("positives", mean bytes, uncertainty bytes, mmp, ump), so equal maps
+    share positives.
     Keys name only n_f and the toggles: one memo serves one support, query
     and seed, with every other config field the same.
     """
     support = _support(memo, f, m, cfg, n_seeds)
-    mean, uncert, neg_map = _once(memo, ("maps", cfg.n_regions, cfg.np), query_maps, support, q, cfg)
+    mean, uncert, neg_map = _once(memo, ("maps", cfg.n_regions, cfg.np), _maps, memo, support, q, cfg)
     _, pos_seed, neg_seed = _once(memo, "streams", episode_seed_streams, cfg.seed)
     key = ("positives", mean.values.tobytes(), uncert.values.tobytes(), cfg.mmp, cfg.ump)
     positives = _once(memo, key, positive_prompts, mean, uncert, cfg, pos_seed)
@@ -287,7 +311,9 @@ def ablation_run(
 
     Every (family, toggle, n_f, seed) cell is one episode scored with the
     surrogate segmenter. The cells of one (family, seed) share one memo, so
-    each value is computed once for the cells it serves (see :func:`_episode`).
+    each value is computed once for the cells it serves (see :func:`_episode`);
+    the memo's "components" key holds the query's thresholded components, and
+    each cell's mask is those holding a positive and no negative.
     Failed cells keep their row with an empty dice and a failure note. Rows
     come back sorted by family name, toggles, n_f and seed.
     """
@@ -315,7 +341,8 @@ def ablation_run(
                 res = _episode(memo, ph.support_features, ph.support_mask, ph.query_features, cfg, max(nfs))
                 h, w = ph.query_features.height, ph.query_features.width
                 prompts = build_export(res.prompts, res.n_regions, h, w)
-                d = dice(surrogate_segment(prompts, ph.query_intensity, threshold), ph.query_gt)
+                labels = _once(memo, "components", label_components, ph.query_intensity, threshold)
+                d = dice(component_mask(prompts, labels), ph.query_gt)
                 rows.append(AblationRow(*key, d, "ok"))
             except MaupError as e:
                 rows.append(AblationRow(*key, None, f"failed: {e}"))

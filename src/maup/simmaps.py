@@ -21,25 +21,48 @@ def similarity_stack(f_q: FeatureMap, protos: np.ndarray) -> np.ndarray:
 
     Returns P x H x W float32 maps in row order, computed in float64 by one
     (P x C) @ (C x HW) product and rounded once to float32. Pixels or
-    prototypes with zero norm get similarity 0 instead of NaN.
-    The one query-sized temporary is the query's float64 copy: the pixel
-    norms are an einsum over it, and the divide and clip run in place.
+    prototypes with zero norm get similarity 0 instead of NaN. The three
+    steps are :func:`query_side`, :func:`similarity_scores` and
+    :func:`cosine_rows`.
     """
-    protos = np.asarray(protos, dtype=np.float64)
-    if protos.ndim != 2 or protos.shape[1] != f_q.channels:
-        raise ShapeError(
-            f"feature map has {f_q.channels} channels, prototypes are {protos.shape}"
-        )
+    feats, pix_norm = query_side(f_q)
+    scores = similarity_scores(protos, feats)
+    return cosine_rows(scores, protos, pix_norm).reshape(-1, f_q.height, f_q.width)
+
+
+def query_side(f_q: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
+    """A query's C x HW float64 features and their HW pixel norms (an einsum over that copy)."""
     feats = f_q.data.reshape(f_q.channels, -1).astype(np.float64)
-    sims = protos @ feats
-    pix_norm = np.sqrt(np.einsum("ij,ij->j", feats, feats))
-    denom = np.linalg.norm(protos, axis=1)[:, None] * pix_norm
-    nonzero = denom > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(sims, denom, out=sims, where=nonzero)
-    sims[~nonzero] = 0.0
+    return feats, np.sqrt(np.einsum("ij,ij->j", feats, feats))
+
+
+def similarity_scores(protos: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """The raw P x HW float64 product of P x C prototype rows and a query side's C x HW features."""
+    protos = np.asarray(protos, dtype=np.float64)
+    if protos.ndim != 2 or protos.shape[1] != len(feats):
+        raise ShapeError(f"feature map has {len(feats)} channels, prototypes are {protos.shape}")
+    return protos @ feats
+
+
+def cosine_rows(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) -> np.ndarray:
+    """P x HW float32 cosines from a raw product, clipped to [-1, 1]; 0 where a norm is 0.
+
+    Elementwise with per-row norms, so equal score rows give equal cosine
+    rows whatever the other rows are. ``scores`` is read, never written.
+    """
+    norms = np.linalg.norm(np.asarray(protos, dtype=np.float64), axis=1)
+    sims = norms[:, None] * pix_norm  # the denominators, divided in place
+    lo = norms.min(initial=np.inf) * pix_norm.min(initial=np.inf)
+    hi = norms.max(initial=0.0) * pix_norm.max(initial=0.0)
+    if 0.0 < lo and hi < np.inf:  # every denominator positive and finite
+        np.divide(scores, sims, out=sims)
+    else:
+        nonzero = sims > 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(scores, sims, out=sims, where=nonzero)
+        sims[~nonzero] = 0.0
     np.clip(sims, -1.0, 1.0, out=sims)
-    return sims.astype(np.float32).reshape(-1, f_q.height, f_q.width)
+    return sims.astype(np.float32)
 
 
 def cosine_map(f_q: FeatureMap, p: np.ndarray) -> ScalarMap:
@@ -60,8 +83,10 @@ def uncertainty_map(stack: np.ndarray, mean: ScalarMap) -> ScalarMap:
         raise EmptyStackError("cannot take variance of an empty similarity stack")
     if stack.shape[1:] != mean.values.shape:
         raise ShapeError("mean map shape does not match the stack")
-    diff = stack.astype(np.float64) - mean.values.astype(np.float64)
-    return ScalarMap((diff * diff).mean(axis=0))
+    diff = stack.astype(np.float64)  # the one float64 copy; the float32 mean upcasts exactly
+    diff -= mean.values
+    diff *= diff
+    return ScalarMap(diff.mean(axis=0))
 
 
 def percentile_threshold(map_: ScalarMap, pct: float) -> float:

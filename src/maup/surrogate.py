@@ -18,11 +18,18 @@ from .tensors import BitMask, ScalarMap
 
 def build_export(ps: PromptSet, n_regions: int, height: int, width: int) -> PromptSet:
     """``ps`` with ``n_regions`` set, once every point lies in the height x width frame."""
+    off = _off_frame(ps, height, width)
+    if off is not None:
+        raise ShapeError(f"exported prompt (x={off[0]}, y={off[1]}) escapes the scaled frame")
+    return replace(ps, n_regions=n_regions)
+
+
+def _off_frame(ps: PromptSet, height: int, width: int) -> list[int] | None:
+    """Image (x, y) of the first positive, else the first negative, off the height x width grid."""
     for r, c in ps.positives.tolist() + ps.negatives.tolist():
         if not (0 <= r < height and 0 <= c < width):
-            x, y = to_image_xy(np.array([[r, c]]), ps.scale)[0].tolist()
-            raise ShapeError(f"exported prompt (x={x}, y={y}) escapes the scaled frame")
-    return replace(ps, n_regions=n_regions)
+            return to_image_xy(np.array([[r, c]]), ps.scale)[0].tolist()
+    return None
 
 
 def surrogate_segment(prompts: PromptSet, gt_like: ScalarMap, threshold: float) -> BitMask:
@@ -30,29 +37,47 @@ def surrogate_segment(prompts: PromptSet, gt_like: ScalarMap, threshold: float) 
 
     Grows 4-connected regions of ``gt_like >= threshold`` from the positive
     points, then discards any grown region that also contains a negative
-    point. An out-of-bounds prompt's error names it in image coordinates.
+    point: :func:`label_components`, then :func:`component_mask`. An
+    out-of-bounds prompt's error names it in image coordinates.
+    """
+    return component_mask(prompts, label_components(gt_like, threshold))
+
+
+def label_components(gt_like: ScalarMap, threshold: float) -> np.ndarray:
+    """H x W int64 labels of the 4-connected components of ``gt_like >= threshold``.
+
+    Components are numbered 1, 2, ... in row-major order of their first
+    pixel; 0 marks the pixels below the threshold.
     """
     h, w = gt_like.height, gt_like.width
     stride = w + 2  # a closed one-pixel border keeps the neighbours i +- 1, i +- stride in range
-
-    def flat(points):
-        out = []
-        for r, c in points.tolist():
-            if not (0 <= r < h and 0 <= c < w):
-                x, y = to_image_xy(np.array([[r, c]]), prompts.scale)[0].tolist()
-                raise ShapeError(f"prompt (x={x}, y={y}) is out of bounds for a {h}x{w} map")
-            out.append((r + 1) * stride + c + 1)
-        return out
-
-    pos = flat(prompts.positives)
-    neg = flat(prompts.negatives)
     padded = np.zeros((h + 2, stride), dtype=np.uint8)
     padded[1:-1, 1:-1] = gt_like.values.astype(np.float64) >= threshold
     open_ = bytearray(padded)
-    _flood(open_, stride, neg)  # close every component holding a negative
-    grown = np.zeros_like(padded)
-    grown.flat[_flood(open_, stride, pos)] = 1
-    return BitMask(grown[1:-1, 1:-1])
+    labels = np.zeros(padded.shape, dtype=np.int64)
+    n = 0
+    for i in np.flatnonzero(padded).tolist():
+        if open_[i]:
+            n += 1
+            labels.flat[_flood(open_, stride, [i])] = n
+    return labels[1:-1, 1:-1].copy()
+
+
+def component_mask(prompts: PromptSet, labels: np.ndarray) -> BitMask:
+    """The components of a label map that hold a positive point and no negative point.
+
+    ``labels`` is :func:`label_components`' map. The first out-of-frame
+    positive, else the first out-of-frame negative, raises a ShapeError.
+    """
+    h, w = labels.shape
+    off = _off_frame(prompts, h, w)
+    if off is not None:
+        raise ShapeError(f"prompt (x={off[0]}, y={off[1]}) is out of bounds for a {h}x{w} map")
+    keep = np.zeros(labels.max() + 1, dtype=np.uint8)
+    keep[labels[tuple(prompts.positives.T)]] = 1
+    keep[labels[tuple(prompts.negatives.T)]] = 0
+    keep[0] = 0
+    return BitMask(keep[labels])
 
 
 def _flood(open_: bytearray, stride: int, seeds: list[int]) -> list[int]:

@@ -387,3 +387,20 @@ class TestReadmeSweep:
         assert proc.returncode == 0, proc.stderr
         assert "wrote 600 rows (0 failed)" in proc.stdout
         assert out.read_bytes() == (GOLDEN / "ablation_readme.csv").read_bytes()
+
+
+class TestFourFamilySweep:
+    """Every phantom family at the ``sweep-toy`` shape, run as ``maup ablate`` in a fresh process.
+
+    The golden CSV was written before sweep cells shared their query side
+    (one float64 query, one component labelling and one map epilogue per
+    sibling pair), and that sharing must leave it byte for byte.
+    """
+
+    def test_csv_bytes_equal_the_golden_file(self, tmp_path):
+        out = tmp_path / "report.csv"
+        cfg = GOLDEN / "ablation_four_families.cfg"
+        proc = run_cli_process(["ablate", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote 300 rows (0 failed)" in proc.stdout
+        assert out.read_bytes() == (GOLDEN / "ablation_four_families.csv").read_bytes()

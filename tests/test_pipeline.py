@@ -14,6 +14,7 @@ from scipy import ndimage
 import maup.pipeline as pl
 import maup.prompting as mp
 import maup.prototypes as pp
+import maup.simmaps as sm
 from maup.errors import ConfigError, EmptyMaskError, MaupError, ShapeError, SpecError
 from maup.phantom import FAMILIES, PhantomSpec, generate_phantom
 from maup.pipeline import (
@@ -34,6 +35,7 @@ from maup.pipeline import (
 )
 from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, generate_prompts, to_image_xy
 from maup.simmaps import candidate_mask
+from maup.surrogate import component_mask, label_components
 from maup.tensors import BitMask, FeatureMap, ScalarMap
 
 from oracles import build_export_reference, flood_oracle, surrogate_reference, to_image_xy_reference
@@ -49,9 +51,10 @@ PAPER_SCALE_GOLDEN = {
 def reference_episode(support_features, support_mask, query_features, cfg):
     """``execute_episode`` as it was before the support/query split, every stage inline.
 
-    Stages that ``maup.pipeline`` calls are looked up on it, so a test that
-    substitutes one substitutes it here too; the periphery row is pooled on
-    its own with :func:`maup.prototypes.periphery_prototype`.
+    Support-side stages that ``maup.pipeline`` calls are looked up on it, and
+    the similarity stack and its reductions on ``maup.simmaps``, so a test
+    that substitutes one substitutes it here too; the periphery row is pooled
+    on its own with :func:`maup.prototypes.periphery_prototype`.
     """
     if (support_features.height, support_features.width) != (
         support_mask.height,
@@ -71,10 +74,10 @@ def reference_episode(support_features, support_mask, query_features, cfg):
         band = pl.periphery_mask(support_mask, pl.StructuringElement.disk(cfg.radius))
         if band.foreground_count > 0:
             protos = np.vstack([protos, pp.periphery_prototype(support_features, band)])
-    stack = pl.similarity_stack(query_features, protos)
+    stack = sm.similarity_stack(query_features, protos)
     regional = stack[: len(seeds)]
-    mean = pl.mean_map(regional)
-    uncert = pl.uncertainty_map(regional, mean)
+    mean = sm.mean_map(regional)
+    uncert = sm.uncertainty_map(regional, mean)
     neg_map = ScalarMap(stack[len(seeds)]) if len(stack) > len(seeds) else None
     prompts = generate_prompts(mean, uncert, neg_map, cfg)
     return EpisodeResult(prompts, partition, mean, uncert, neg_map, len(seeds))
@@ -615,6 +618,48 @@ class TestArrayExportReference:
             assert np.array_equal(got, want)
 
 
+class TestComponentLabels:
+    """The sweep's surrogate: components labelled once, then one lookup per prompt set."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=fill_cases())
+    @example(case=(np.ones((1, 1), bool), [(0, 0)], []))
+    @example(case=(np.zeros((1, 1), bool), [(0, 0)], [(0, 0)]))
+    @example(case=(np.array([[1, 1, 0, 1, 1]], bool), [(0, 0), (0, 4)], [(0, 1)]))
+    @example(case=(np.array([[1], [0], [1], [1]], bool), [(3, 0), (1, 0)], [(1, 0)]))
+    @example(case=(np.array([[0, 1], [1, 1]], bool), [(0, 0), (1, 1)], [(0, 1)]))
+    @example(case=(np.array([[1, 1, 0], [0, 1, 0], [1, 0, 1]], bool), [(0, 0), (1, 1), (2, 2)], [(0, 1)]))
+    def test_components_and_their_mask_match_the_flood_oracle(self, case):
+        # 1x1, 1xW and Hx1 frames, prompts on closed pixels, and a positive and a
+        # negative in one component
+        above, pos, neg = case
+        labels = label_components(ScalarMap(above.astype(np.float32)), 0.5)
+        assert labels.shape == above.shape and np.array_equal(labels > 0, above)
+        # label k is the flood of its first pixel, numbered in row-major order of those pixels
+        firsts = [int(np.flatnonzero(labels == k)[0]) for k in range(1, labels.max() + 1)]
+        assert firsts == sorted(firsts)
+        for k, first in enumerate(firsts, start=1):
+            flood = np.array(flood_oracle(above, [divmod(first, above.shape[1])], []), dtype=bool)
+            assert np.array_equal(labels == k, flood)
+        mask = component_mask(export_with(pos, neg), labels)
+        assert np.array_equal(mask.bits, np.array(flood_oracle(above, pos, neg), dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "pos, neg, named",
+        [
+            ([(1, 1), (9, 2)], [(-1, 3)], "x=35, y=133"),  # both off the frame: the positive is named
+            ([(1, 1)], [(2, 2), (3, 8)], "x=119, y=49"),  # only a negative off the frame
+        ],
+    )
+    def test_out_of_frame_positives_are_reported_before_negatives(self, pos, neg, named):
+        above = disk_intensity(8, 8, 4, 4, 2).values >= 0.5
+        labels = label_components(ScalarMap(above.astype(np.float32)), 0.5)
+        export = export_with(pos, neg, scale=14)
+        got = shape_error_or(lambda: component_mask(export, labels))
+        assert got == (ShapeError, f"prompt ({named}) is out of bounds for a 8x8 map")
+        assert got == shape_error_or(lambda: surrogate_reference(export.to_dict(), above))
+
+
 class TestDice:
     def test_identical_masks(self):
         m = BitMask(np.eye(5, dtype=np.uint8))
@@ -706,9 +751,10 @@ class TestAblation:
             # the periphery row
             ("periphery_mask", lambda args: True, lambda row: row.np),
             # the negative-path-off product at n_f 5: 5 regional rows
-            ("similarity_stack", lambda args: len(args[1]) == 5, lambda row: not row.np and row.n_f == 5),
-            # the negative-path-on product at n_f 5: 5 regional rows and the periphery row
-            ("similarity_stack", lambda args: len(args[1]) == 6, lambda row: row.np and row.n_f == 5),
+            ("similarity_scores", lambda args: len(args[0]) == 5, lambda row: not row.np and row.n_f == 5),
+            # the negative-path-on product at n_f 5: 5 regional rows and the periphery row;
+            # the off row set then has no sibling maps and computes its own
+            ("similarity_scores", lambda args: len(args[0]) == 6, lambda row: row.np and row.n_f == 5),
         ],
     )
     def test_a_shared_stage_failure_fails_its_cells_as_before(self, monkeypatch, stage, bad, fails):
@@ -719,7 +765,9 @@ class TestAblation:
                 raise EmptyMaskError(f"synthetic {stage} failure")
             return real(*args)
 
-        monkeypatch.setattr(pl, stage, broken)
+        for module in (pl, sm):  # the reference reaches the product through maup.simmaps
+            if hasattr(module, stage):
+                monkeypatch.setattr(module, stage, broken)
         args = ([PhantomSpec(family="disk"), PhantomSpec(family="ellipse")], VALID_TOGGLES, [1, 5], [0, 1])
         report = ablation_run(*args)
         assert report == reference_ablation(*args)
@@ -733,10 +781,14 @@ class TestAblation:
         "periphery_mask",  # one band per (family, seed), none without the negative path
         "voronoi_partition",  # one support per (family, n_f, seed)
         "regional_prototypes",
-        "similarity_stack",  # one product per row set: negative path off, on
+        "query_side",  # one float64 query and its pixel norms per (family, seed)
+        "similarity_scores",  # one product per row set: negative path off, on
+        "cosine_rows",  # one epilogue per row set, less the off row sets that take their sibling's maps
+        "label_components",  # one component labelling per (family, seed)
         "positive_prompts",  # one per distinct (maps, mmp, ump)
         "select_prompts",  # the rest of prompting stays per cell
     ]
+    NFS = [1, 5, 15, 30, 60]
 
     def shared_work(self, monkeypatch, tmp_path, toggles):
         """Stage calls of one sweep call over every family and five n_f; its CSV must equal the reference."""
@@ -754,7 +806,7 @@ class TestAblation:
         for name in self.SHARED_STAGES:
             monkeypatch.setattr(pl, name, counting(name))
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
-        args = (families, toggles, [1, 5, 15, 30, 60], [0])
+        args = (families, toggles, self.NFS, [0])
         report = ablation_run(*args)
         assert len(report.rows) == 20 * len(toggles) and all(r.status == "ok" for r in report.rows)
         got = tuple(counts.values())
@@ -763,51 +815,141 @@ class TestAblation:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         return got
 
+    def unequal_siblings(self):
+        """(family, n_f) pairs of the sweep whose off product differs from the on product's regional rows.
+
+        Whether a P-row product equals the first P rows of a (P+1)-row one
+        depends on the BLAS kernel (a one-row product is a matrix-vector
+        product), so the count of epilogues is derived, not assumed.
+        """
+        out = []
+        for f in FAMILIES:
+            ph = generate_phantom(PhantomSpec(family=f, contrast=0.4, noise=0.1, seed=0))
+            feats, _ = sm.query_side(ph.query_features)
+            for nf in self.NFS:
+                support = prepare_support(ph.support_features, ph.support_mask, PromptConfig(n_regions=nf, seed=0))
+                on = sm.similarity_scores(np.vstack([support.protos, support.periphery]), feats)
+                if not np.array_equal(sm.similarity_scores(support.protos, feats), on[:-1]):
+                    out.append((f, nf))
+        return out
+
     def test_shared_work_per_sweep_call(self, monkeypatch, tmp_path):
-        # positives: ump and mmp+ump; mmp+ump+np shares the mmp+ump ones, its maps being equal
-        assert self.shared_work(monkeypatch, tmp_path, SWEEP_TOGGLES) == (4, 4, 4, 20, 20, 40, 40, 60)
+        # positives: ump and mmp+ump; mmp+ump+np shares the mmp+ump ones, its maps being equal.
+        # Epilogues: 20 on row sets, and an off row set only where its product is not the
+        # on product's regional rows (at n_f 1 in every family with this numpy and BLAS)
+        unequal = len(self.unequal_siblings())
+        want = (4, 4, 4, 20, 20, 4, 40, 20 + unequal, 4, 40, 60)
+        assert self.shared_work(monkeypatch, tmp_path, SWEEP_TOGGLES) == want
 
     @pytest.mark.parametrize(
         "toggles, want",
         [
-            (SWEEP_TOGGLES[::-1], (4, 4, 4, 20, 20, 40, 40, 60)),
-            ([(True, True, True)], (4, 4, 4, 20, 20, 20, 20, 20)),
-            (SWEEP_TOGGLES[:2], (4, 4, 0, 20, 20, 20, 40, 40)),
+            (SWEEP_TOGGLES[::-1], (4, 4, 4, 20, 20, 4, 40, None, 4, 40, 60)),  # None: 20 + unequal siblings
+            ([(True, True, True)], (4, 4, 4, 20, 20, 4, 20, 20, 4, 20, 20)),
+            (SWEEP_TOGGLES[:2], (4, 4, 0, 20, 20, 4, 20, 20, 4, 40, 40)),
         ],
         ids=["reversed", "all-on", "np-off-rows"],
     )
     def test_shared_work_in_any_toggle_order_or_subset(self, monkeypatch, tmp_path, toggles, want):
-        assert self.shared_work(monkeypatch, tmp_path, toggles) == want
+        epilogues = want[7] if want[7] is not None else 20 + len(self.unequal_siblings())
+        assert self.shared_work(monkeypatch, tmp_path, toggles) == want[:7] + (epilogues,) + want[8:]
 
     def test_unequal_maps_select_positives_per_row_set(self, monkeypatch, tmp_path):
-        # one ulp up at pixel (0, 0) of every regional row of the negative-path-on
-        # product at n_f 5 (5 regional rows and the periphery row): that group's
-        # maps no longer equal the off maps, so its mmp+ump rows with the negative
-        # path on and off select their positives apart, while the other groups
-        # still share theirs
-        real_stack, real_positives = pl.similarity_stack, pl.positive_prompts
-        calls = []
+        # the regional rows of the negative-path-on product at n_f 5 (5 regional
+        # rows and the periphery row) move up by one float32 epsilon, relative, at
+        # pixel (0, 0): the off product no longer equals them, so the off row set
+        # runs its own epilogue and, its maps differing, selects its own mmp+ump
+        # positives, while the other groups still share theirs
+        real_scores, real_cosines, real_positives = sm.similarity_scores, pl.cosine_rows, pl.positive_prompts
+        epilogues, calls = [], []
 
-        def nudged(query, protos):
-            stack = real_stack(query, protos)
+        def nudged(protos, feats):
+            scores = real_scores(protos, feats)
             if len(protos) == 6:
-                stack[:-1, 0, 0] = np.nextafter(stack[:-1, 0, 0], np.float32(np.inf))
-            return stack
+                scores[:-1, 0] += np.abs(scores[:-1, 0]) * np.finfo(np.float32).eps
+            return scores
+
+        def counted_cosines(scores, protos, pix_norm):
+            epilogues.append(len(protos))
+            return real_cosines(scores, protos, pix_norm)
 
         def counted(mean, uncert, cfg, seed):
             calls.append((cfg.n_regions, cfg.mmp))
             return real_positives(mean, uncert, cfg, seed)
 
-        monkeypatch.setattr(pl, "similarity_stack", nudged)
+        for module in (pl, sm):  # the reference reaches the product through maup.simmaps
+            monkeypatch.setattr(module, "similarity_scores", nudged)
+        monkeypatch.setattr(pl, "cosine_rows", counted_cosines)
         monkeypatch.setattr(pl, "positive_prompts", counted)
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
-        args = (families, SWEEP_TOGGLES, [1, 5, 15, 30, 60], [0])
+        args = (families, SWEEP_TOGGLES, self.NFS, [0])
         ablation_run(*args).write_csv(tmp_path / "got.csv")
+        assert Counter(epilogues)[5] == len(FAMILIES)  # the nudged group's off row set, once per family
         assert len(calls) == 40 + len(FAMILIES)
         per_nf = Counter(nf for nf, mmp in calls if mmp)  # mmp+ump selections per n_f, over the families
-        assert per_nf == {nf: (2 if nf == 5 else 1) * len(FAMILIES) for nf in [1, 5, 15, 30, 60]}
+        assert per_nf == {nf: (2 if nf == 5 else 1) * len(FAMILIES) for nf in self.NFS}
         reference_ablation(*args).write_csv(tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        size=st.sampled_from([16, 24, 32]),
+        channels=st.integers(3, 16),
+        nfs=st.lists(st.integers(2, 40), max_size=3).map(lambda nfs: [1] + nfs),
+        seed=st.integers(0, 5),
+        refuse=st.booleans(),
+    )
+    @example(family="disk", size=32, channels=16, nfs=[1, 5, 30], seed=0, refuse=False)
+    @example(family="two-lobe", size=32, channels=16, nfs=[1, 5, 30], seed=0, refuse=True)
+    def test_every_cell_equals_its_own_episode(self, family, size, channels, nfs, seed, refuse):
+        # an off row set takes its on sibling's maps exactly when its product equals the
+        # on product's regional rows; with `refuse`, every product with an odd row count
+        # moves up one ulp at pixel 0, so no on/off pair is equal and every off row set
+        # computes its own maps. Either way each cell's maps, prompts and CSV row are
+        # those of its own fresh execute_episode
+        real_scores, real_episode, cells = pl.similarity_scores, pl._episode, []
+
+        def nudged(protos, feats):
+            scores = real_scores(protos, feats)
+            if len(scores) % 2:
+                scores[0, 0] = np.nextafter(scores[0, 0], np.inf)
+            return scores
+
+        def recorded(memo, f, m, q, cfg, n_seeds):
+            res = real_episode(memo, f, m, q, cfg, n_seeds)
+            cells.append((cfg, res))
+            return res
+
+        spec = PhantomSpec(family=family, size=size, channels=channels, contrast=0.4, noise=0.1)
+        ph = generate_phantom(replace(spec, seed=seed))
+        h, w = ph.query_features.height, ph.query_features.width
+        with pytest.MonkeyPatch.context() as patch:
+            if refuse:
+                patch.setattr(pl, "similarity_scores", nudged)
+            with pytest.MonkeyPatch.context() as recording:
+                recording.setattr(pl, "_episode", recorded)
+                report = ablation_run([spec], SWEEP_TOGGLES, nfs, [seed])
+            assert len(cells) == len(report.rows) == 3 * len(nfs)
+            rows = []
+            for cfg, res in cells:
+                fresh = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
+                assert episode_bytes(res, h, w) == episode_bytes(fresh, h, w)
+                export = build_export(fresh.prompts, fresh.n_regions, h, w)
+                d = dice(surrogate_segment(export, ph.query_intensity, 0.5), ph.query_gt)
+                rows.append(AblationRow(family, cfg.mmp, cfg.ump, cfg.np, cfg.n_regions, seed, d, "ok"))
+            assert report.rows == tuple(sorted(rows, key=AblationRow.sort_key))
+
+            feats, _ = sm.query_side(ph.query_features)
+            for nf in nfs:
+                on = next(res for cfg, res in cells if cfg.n_regions == nf and cfg.np)
+                offs = [res for cfg, res in cells if cfg.n_regions == nf and not cfg.np]
+                support = prepare_support(ph.support_features, ph.support_mask, PromptConfig(n_regions=nf, seed=seed))
+                n = len(support.protos)
+                on_rows = support.protos if support.periphery is None else np.vstack([support.protos, support.periphery])
+                equal = np.array_equal(pl.similarity_scores(support.protos, feats), pl.similarity_scores(on_rows, feats)[:n])
+                assert all((off.mean is on.mean) == equal for off in offs), (nf, equal)
+                assert not (refuse and equal)
 
     def test_a_failing_band_is_computed_once_per_family_and_seed(self, monkeypatch):
         calls = []

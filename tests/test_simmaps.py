@@ -9,9 +9,12 @@ from hypothesis.extra.numpy import arrays
 from maup.errors import ConfigError, EmptyCandidateError, EmptyStackError, ShapeError
 from maup.simmaps import (
     cosine_map,
+    cosine_rows,
     candidate_mask,
     mean_map,
     percentile_threshold,
+    query_side,
+    similarity_scores,
     similarity_stack,
     uncertainty_map,
     write_pgm,
@@ -223,6 +226,48 @@ class TestStackReductions:
         got, want = similarity_stack(f, protos), stack_reference(f, protos)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        c=st.integers(1, 40),
+        hw=st.integers(1, 60),
+        n=st.integers(1, 8),
+        zero_rows=st.sets(st.integers(0, 8)),
+        zero_pixels=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=3, hw=4, n=2, zero_rows={2}, zero_pixels=False, seed=0)
+    @example(c=3, hw=4, n=2, zero_rows=set(), zero_pixels=True, seed=1)
+    def test_equal_score_rows_give_equal_cosine_rows(self, c, hw, n, zero_rows, zero_pixels, seed):
+        # the sibling rule: the first n rows of a longer product give the bytes of an
+        # n-row product with the same rows, whichever path (plain or masked divide) each takes
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((c, hw))
+        if zero_pixels:
+            feats[:, rng.random(hw) < 0.3] = 0.0
+        protos = rng.standard_normal((n + 1, c))
+        protos[[k for k in zero_rows if k <= n]] = 0.0
+        f = FeatureMap(feats.astype(np.float32).reshape(c, 1, hw))
+        query, pix_norm = query_side(f)
+        scores = similarity_scores(protos, query)
+        kept = scores.copy()
+        full = cosine_rows(scores, protos, pix_norm)
+        assert np.array_equal(scores, kept)  # the product is read, never written
+        part = cosine_rows(scores[:n].copy(), protos[:n], pix_norm)
+        assert full[:n].tobytes() == part.tobytes()
+        assert full.tobytes() == similarity_stack(f, protos).tobytes()
+
+    @settings(deadline=None)
+    @given(
+        stack=st.tuples(st.integers(1, 8), st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda shape: arrays(np.float32, shape, elements=st.floats(-1.0, 1.0, width=32))
+        )
+    )
+    def test_variance_is_bit_identical_to_the_two_temporary_form(self, stack):
+        mean = mean_map(stack)
+        diff = stack.astype(np.float64) - mean.values.astype(np.float64)
+        want = ScalarMap((diff * diff).mean(axis=0))
+        assert uncertainty_map(stack, mean).values.tobytes() == want.values.tobytes()
 
     def test_stack_holds_one_float64_copy_of_the_query(self):
         # the traced peak of one call stays within 1.5x the query's float64
