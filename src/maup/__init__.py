@@ -20,7 +20,6 @@ from .pipeline import (
     AblationReport,
     AblationRow,
     EpisodeResult,
-    EpisodeSpec,
     Support,
     ablation_run,
     build_export,
@@ -28,7 +27,6 @@ from .pipeline import (
     execute_episode,
     prepare_support,
     query_maps,
-    run_episode,
     save_phantom,
     surrogate_segment,
 )

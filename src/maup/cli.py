@@ -10,12 +10,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import MaupError
+from .errors import MaupError, ShapeError
 from .phantom import FAMILIES, PhantomSpec
-from .pipeline import EpisodeSpec, ablation_run, run_episode, save_phantom
+from .pipeline import ablation_run, execute_episode, save_phantom
 from .prompting import PromptConfig
-from .surrogate import dice, surrogate_segment
-from .tensors import ScalarMap
+from .simmaps import write_pgm
+from .surrogate import build_export, dice, surrogate_segment
+from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,21 +102,39 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _load(path, expect, stage: str):
+    try:
+        return load_tensor(path, expect=expect)
+    except MaupError as e:
+        raise type(e)(f"{stage}: {e}") from e
+
+
 def _cmd_run(args) -> int:
-    spec = EpisodeSpec(
-        support_feature_path=args.support_feat,
-        support_mask_path=args.support_mask,
-        query_feature_path=args.query_feat,
-        query_gt_mask_path=args.query_gt,
-        output_dir=args.out,
-        config=_config_from_args(args),
-        heatmaps=args.heatmaps,
-    )
-    prompts, gt = run_episode(spec)
+    cfg = _config_from_args(args)
+    support_f = _load(args.support_feat, FeatureMap, "support features")
+    support_m = _load(args.support_mask, BitMask, "support mask")
+    query_f = _load(args.query_feat, FeatureMap, "query features")
+    gt = None
+    if args.query_gt is not None:
+        gt = _load(args.query_gt, BitMask, "query ground truth")
+        if (gt.height, gt.width) != (query_f.height, query_f.width):
+            raise ShapeError("query ground truth: H x W does not match query features")
+
+    result = execute_episode(support_f, support_m, query_f, cfg)
+    prompts = build_export(result.prompts, result.n_regions, query_f.height, query_f.width)
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "prompts.json").write_text(prompts.canonical_json())
+    if args.heatmaps:
+        write_pgm(result.mean, out_dir / "mean.pgm")
+        write_pgm(result.uncertainty, out_dir / "uncertainty.pgm")
+        if result.negative is not None:
+            write_pgm(result.negative, out_dir / "negative.pgm")
     print(f"k_used={prompts.k_used} positives={len(prompts.positives)} negatives={len(prompts.negatives)}")
     for flag in prompts.flags:
         print(f"flag: {flag}")
-    print(f"wrote {Path(args.out) / 'prompts.json'}")
+    print(f"wrote {out_dir / 'prompts.json'}")
     if gt is not None:
         pred = surrogate_segment(prompts, ScalarMap(gt.bits.astype("float32")), 0.5)
         print(f"surrogate dice vs ground truth: {dice(pred, gt):.4f}")

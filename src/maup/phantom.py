@@ -60,7 +60,6 @@ class PhantomSpec:
 class Phantom:
     """One generated episode: support pair, query pair, query intensity."""
 
-    spec: PhantomSpec
     support_features: FeatureMap
     support_mask: BitMask
     query_features: FeatureMap
@@ -100,9 +99,10 @@ def _paint_features(rng, spec, basis, organ, decoy, band) -> FeatureMap:
     canvas[:, band] = mu_peri[:, None]
     canvas[:, decoy] = mu_peri[:, None]
     canvas[:, organ] = mu_fg[:, None]
-    if spec.noise > 0.0:
-        canvas = canvas + spec.noise * rng.standard_normal(canvas.shape)
-    return FeatureMap(canvas.astype(np.float32))
+    with np.errstate(over="ignore"):  # a huge noise overflows to inf, which FeatureMap rejects
+        if spec.noise > 0.0:
+            canvas = canvas + spec.noise * rng.standard_normal(canvas.shape)
+        return FeatureMap(canvas.astype(np.float32))
 
 
 def _orthonormal_triple(rng, channels: int) -> np.ndarray:
@@ -164,7 +164,6 @@ def generate_phantom(spec: PhantomSpec) -> Phantom:
 
     intensity = (q_organ | q_decoy).astype(np.float32)
     return Phantom(
-        spec=spec,
         support_features=support_features,
         support_mask=support_mask,
         query_features=query_features,

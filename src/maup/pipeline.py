@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import NamedTuple
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyMaskError, MaupError, ShapeError
-from .phantom import PhantomSpec, generate_phantom
+from .phantom import Phantom, PhantomSpec, generate_phantom
 from .prompting import (
     PromptConfig,
     PromptSet,
@@ -34,22 +34,9 @@ from .regions import (
     periphery_mask,
     voronoi_partition,
 )
-from .simmaps import cosine_rows, mean_map, query_side, similarity_scores, uncertainty_map, write_pgm
+from .simmaps import cosine_rows, mean_map, query_side, similarity_scores, uncertainty_map
 from .surrogate import build_export, component_mask, dice, label_components, surrogate_segment
-from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor, save_tensor
-
-
-@dataclass(frozen=True)
-class EpisodeSpec:
-    """File-level description of one episode."""
-
-    support_feature_path: str
-    support_mask_path: str
-    query_feature_path: str
-    output_dir: str
-    query_gt_mask_path: str | None = None
-    config: PromptConfig = field(default_factory=PromptConfig)
-    heatmaps: bool = False
+from .tensors import BitMask, FeatureMap, ScalarMap, save_tensor
 
 
 @dataclass(frozen=True)
@@ -208,39 +195,6 @@ def _episode(
     return EpisodeResult(prompts, support.labels, mean, uncert, neg_map, len(support.protos))
 
 
-def _load(path, expect, stage: str):
-    try:
-        return load_tensor(path, expect=expect)
-    except MaupError as e:
-        raise type(e)(f"{stage}: {e}") from e
-
-
-def run_episode(spec: EpisodeSpec) -> tuple[PromptSet, BitMask | None]:
-    """Execute a file-level episode, write prompts.json (and heatmaps), return (prompts, gt or None)."""
-    cfg = spec.config
-    support_f = _load(spec.support_feature_path, FeatureMap, "support features")
-    support_m = _load(spec.support_mask_path, BitMask, "support mask")
-    query_f = _load(spec.query_feature_path, FeatureMap, "query features")
-    gt = None
-    if spec.query_gt_mask_path is not None:
-        gt = _load(spec.query_gt_mask_path, BitMask, "query ground truth")
-        if (gt.height, gt.width) != (query_f.height, query_f.width):
-            raise ShapeError("query ground truth: H x W does not match query features")
-
-    result = execute_episode(support_f, support_m, query_f, cfg)
-    prompts = build_export(result.prompts, result.n_regions, query_f.height, query_f.width)
-
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "prompts.json").write_text(prompts.canonical_json())
-    if spec.heatmaps:
-        write_pgm(result.mean, out_dir / "mean.pgm")
-        write_pgm(result.uncertainty, out_dir / "uncertainty.pgm")
-        if result.negative is not None:
-            write_pgm(result.negative, out_dir / "negative.pgm")
-    return prompts, gt
-
-
 @dataclass(frozen=True)
 class AblationRow:
     family: str
@@ -351,20 +305,11 @@ def ablation_run(
 
 
 def save_phantom(spec: PhantomSpec, out_dir) -> dict[str, Path]:
-    """Write one phantom episode's tensors to a directory."""
+    """Write one phantom episode's tensors to a directory, one ``<field>.maup`` per field."""
     ph = generate_phantom(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "support_features": out / "support_features.maup",
-        "support_mask": out / "support_mask.maup",
-        "query_features": out / "query_features.maup",
-        "query_gt": out / "query_gt.maup",
-        "query_intensity": out / "query_intensity.maup",
-    }
-    save_tensor(ph.support_features, paths["support_features"])
-    save_tensor(ph.support_mask, paths["support_mask"])
-    save_tensor(ph.query_features, paths["query_features"])
-    save_tensor(ph.query_gt, paths["query_gt"])
-    save_tensor(ph.query_intensity, paths["query_intensity"])
+    paths = {f.name: out / f"{f.name}.maup" for f in fields(Phantom)}
+    for name, path in paths.items():
+        save_tensor(getattr(ph, name), path)
     return paths

@@ -241,8 +241,9 @@ def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
     pts = np.asarray(points, dtype=np.int64)
     if len(pts) == 0:
         raise EmptyCandidateError("cannot run k-means on zero candidates")
-    keys = np.sort(pts[:, 0] * (np.ptp(pts[:, 1]) + 1) + pts[:, 1])  # row-major, one per point
-    k = min(k, 1 + np.count_nonzero(np.diff(keys)))  # distinct points
+    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))]  # row-major: equal points are neighbours
+    step = ordered[1:] != ordered[:-1]
+    k = min(k, 1 + np.count_nonzero(step[:, 0] | step[:, 1]))  # distinct points
     _, labels, d2, _, _ = lloyd_cluster(pts, k, seed)
     members = labels[:, None] == np.arange(k)
     nearest = np.where(members, d2, np.inf).argmin(axis=0)  # first min = smallest index

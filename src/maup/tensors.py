@@ -38,6 +38,22 @@ DTYPE_F32 = 1
 DTYPE_U8 = 2
 
 
+def _check_shape(arr: np.ndarray, name: str, rank: int) -> None:
+    if arr.ndim != rank:
+        raise FormatError(f"{name} must be rank {rank}, got rank {arr.ndim}")
+    if min(arr.shape) < 1:
+        raise FormatError(f"{name} dims must be >= 1, got {arr.shape}")
+
+
+def _finite_float32(data, name: str, rank: int) -> np.ndarray:
+    """``data`` as a C-contiguous float32 array of the given rank, every dim and value checked."""
+    arr = np.ascontiguousarray(data, dtype=np.float32)
+    _check_shape(arr, name, rank)
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name} contains non-finite values")
+    return arr
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class FeatureMap:
     """C x H x W float32 feature tensor, channel-major and row-major."""
@@ -45,14 +61,7 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
-        if arr.ndim != 3:
-            raise FormatError(f"feature map must be rank 3, got rank {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise FormatError(f"feature map dims must be >= 1, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise DataError("feature map contains non-finite values")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _finite_float32(self.data, "feature map", 3))
 
     @property
     def channels(self) -> int:
@@ -77,14 +86,7 @@ class ScalarMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float32)
-        if arr.ndim != 2:
-            raise FormatError(f"scalar map must be rank 2, got rank {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise FormatError(f"scalar map dims must be >= 1, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise DataError("scalar map contains non-finite values")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _finite_float32(self.values, "scalar map", 2))
 
     @property
     def height(self) -> int:
@@ -106,10 +108,7 @@ class BitMask:
 
     def __post_init__(self):
         arr = np.asarray(self.bits)
-        if arr.ndim != 2:
-            raise FormatError(f"mask must be rank 2, got rank {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise FormatError(f"mask dims must be >= 1, got {arr.shape}")
+        _check_shape(arr, "mask", 2)
         if arr.dtype != np.uint8:
             if not np.isin(arr, (0, 1)).all():
                 raise DataError("mask values must be 0 or 1")

@@ -6,14 +6,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
+from maup.cli import main
 from maup.phantom import PhantomSpec, generate_phantom
 from maup.pipeline import (
-    EpisodeSpec,
     ablation_run,
     build_export,
     dice,
     execute_episode,
-    run_episode,
     save_phantom,
     surrogate_segment,
 )
@@ -216,14 +215,14 @@ def test_determinism():
                              tmp / "ph")
         blobs = []
         for run_dir in ("a", "b"):
-            spec = EpisodeSpec(
-                support_feature_path=str(paths["support_features"]),
-                support_mask_path=str(paths["support_mask"]),
-                query_feature_path=str(paths["query_features"]),
-                output_dir=str(tmp / run_dir),
-                config=PromptConfig(seed=13),
-            )
-            run_episode(spec)
+            assert main([
+                "run",
+                "--support-feat", str(paths["support_features"]),
+                "--support-mask", str(paths["support_mask"]),
+                "--query-feat", str(paths["query_features"]),
+                "--out", str(tmp / run_dir),
+                "--seed", "13",
+            ]) == 0
             blobs.append((tmp / run_dir / "prompts.json").read_bytes())
     same_run = blobs[0] == blobs[1]
 

@@ -9,7 +9,8 @@ import pytest
 
 import maup
 from maup.cli import _config_from_args, build_parser, main, parse_sweep_config
-from maup.tensors import BitMask, save_tensor
+from maup.simmaps import write_pgm
+from maup.tensors import BitMask, load_tensor, save_tensor
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +115,24 @@ class TestRunCommand:
         rc = main(run_args(ph, tmp_path / "out", "--heatmaps"))
         assert rc == 0
         assert (tmp_path / "out" / "mean.pgm").exists()
+
+    @pytest.mark.parametrize("np_flag", [(), ("--no-np",)], ids=["np", "no-np"])
+    def test_heatmaps_equal_the_episode_maps(self, tmp_path, np_flag):
+        ph = make_episode_files(tmp_path)
+        assert main(run_args(ph, tmp_path / "out", "--heatmaps", *np_flag)) == 0
+        names = ("support_features", "support_mask", "query_features")
+        tensors = [load_tensor(ph / f"{name}.maup") for name in names]
+        cfg = _config_from_args(build_parser().parse_args(run_args(ph, tmp_path / "out", *np_flag)))
+        res = maup.execute_episode(*tensors, cfg)
+        maps = {"mean": res.mean, "uncertainty": res.uncertainty, "negative": res.negative}
+        assert (maps["negative"] is None) == bool(np_flag)
+        for name, values in maps.items():
+            got = tmp_path / "out" / f"{name}.pgm"
+            if values is None:
+                assert not got.exists()
+                continue
+            write_pgm(values, tmp_path / f"{name}.pgm")
+            assert got.read_bytes() == (tmp_path / f"{name}.pgm").read_bytes()
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         rc = main(
@@ -224,6 +243,19 @@ class TestAblateCommand:
         assert len(lines) == 1 + 1 * 2 * 2 * 3
         assert "mean dice" in capsys.readouterr().out
 
+    def test_overflowing_noise_fails_every_cell_under_warnings_as_errors(self, tmp_path):
+        # the phantom's noise overflows to inf: every cell keeps its row with the one failure note
+        cfg = self.write_config(tmp_path, "families = disk, annulus\nnf = 1, 5\nseeds = 2\nnoise = 1e300\n")
+        out = tmp_path / "report.csv"
+        args = ["ablate", "--config", str(cfg), "--out", str(out)]
+        proc = run_python_process("-W", "error", "-m", "maup.cli", *args)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        rows = [row.split(",", 7) for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 2 * 2
+        assert {(dice, status) for *_, dice, status in rows} == {
+            ("", "failed: feature map contains non-finite values")
+        }
+
     def test_seed_list_syntax(self, tmp_path):
         cfg = self.write_config(tmp_path, "families = disk\nseeds = 1, 3, 5\n")
         out = tmp_path / "report.csv"
@@ -328,6 +360,15 @@ class TestBadValuesExitTwo:
         out = tmp_path / "ph"
         proc = run_cli_process(["phantom", "--family", "disk", "--noise", noise, "--out", str(out)])
         self.assert_one_line_error(proc, "phantom", "noise")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["1e300", "1e308"])
+    def test_phantom_overflowing_noise_under_warnings_as_errors(self, tmp_path, noise):
+        # the noise overflows float32 (or float64) to inf: the one error line, not a RuntimeWarning
+        out = tmp_path / "ph"
+        args = ["phantom", "--family", "disk", "--noise", noise, "--out", str(out)]
+        proc = run_python_process("-W", "error", "-m", "maup.cli", *args)
+        self.assert_one_line_error(proc, "phantom", "non-finite")
         assert not out.exists()
 
     @pytest.mark.parametrize(

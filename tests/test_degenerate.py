@@ -135,7 +135,7 @@ class TestDegenerateSweeps:
         intensity = ScalarMap(query_gt.bits.astype(np.float32))
 
         def phantom(spec):
-            return Phantom(spec, support_f, support_m, query_f, query_gt, intensity)
+            return Phantom(support_f, support_m, query_f, query_gt, intensity)
 
         spec = PhantomSpec(family="disk")
         original = pl.generate_phantom

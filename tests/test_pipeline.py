@@ -11,17 +11,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+import maup.cli as cli
 import maup.pipeline as pl
 import maup.prompting as mp
 import maup.prototypes as pp
 import maup.simmaps as sm
-from maup.errors import ConfigError, EmptyMaskError, MaupError, ShapeError, SpecError
+from maup.cli import _cmd_run, build_parser, main
+from maup.errors import ConfigError, EmptyMaskError, FormatError, MaupError, ShapeError, SpecError
 from maup.phantom import FAMILIES, PhantomSpec, generate_phantom
 from maup.pipeline import (
     AblationReport,
     AblationRow,
     EpisodeResult,
-    EpisodeSpec,
     Support,
     ablation_run,
     build_export,
@@ -29,14 +30,13 @@ from maup.pipeline import (
     execute_episode,
     prepare_support,
     query_maps,
-    run_episode,
     save_phantom,
     surrogate_segment,
 )
 from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, generate_prompts, to_image_xy
 from maup.simmaps import candidate_mask
 from maup.surrogate import component_mask, label_components
-from maup.tensors import BitMask, FeatureMap, ScalarMap
+from maup.tensors import BitMask, FeatureMap, ScalarMap, save_tensor
 
 from oracles import build_export_reference, flood_oracle, surrogate_reference, to_image_xy_reference
 
@@ -375,108 +375,81 @@ class TestSupportQuerySplit:
 
 
 class TestRunEpisode:
-    def run_disk_episode(self, tmp_path, seed=7, **cfg_kwargs):
+    """`maup run`'s file-level episode: tensor files in, prompts.json and heatmaps out."""
+
+    @staticmethod
+    def run_args(paths, out_dir, *extra, support_feat="support_features"):
+        return [
+            "run",
+            "--support-feat", str(paths[support_feat]),
+            "--support-mask", str(paths["support_mask"]),
+            "--query-feat", str(paths["query_features"]),
+            "--out", str(out_dir),
+            *extra,
+        ]
+
+    def run_disk_episode(self, tmp_path, *extra, seed=7):
         paths = save_phantom(
             PhantomSpec(family="disk", contrast=1.0, noise=0.0, seed=seed), tmp_path / "ph"
         )
-        spec = EpisodeSpec(
-            support_feature_path=str(paths["support_features"]),
-            support_mask_path=str(paths["support_mask"]),
-            query_feature_path=str(paths["query_features"]),
-            query_gt_mask_path=str(paths["query_gt"]),
-            output_dir=str(tmp_path / "out"),
-            config=PromptConfig(seed=seed, **cfg_kwargs),
-        )
-        return run_episode(spec), tmp_path / "out" / "prompts.json"
+        gt = ("--query-gt", str(paths["query_gt"]))
+        assert main(self.run_args(paths, tmp_path / "out", "--seed", str(seed), *gt, *extra)) == 0
+        return tmp_path / "out" / "prompts.json"
 
     def test_golden_episode_bytes(self, tmp_path):
-        _, prompts_path = self.run_disk_episode(tmp_path, seed=7)
+        prompts_path = self.run_disk_episode(tmp_path, seed=7)
         assert prompts_path.read_bytes() == GOLDEN.read_bytes()
 
     def test_two_runs_are_byte_identical(self, tmp_path):
-        _, p1 = self.run_disk_episode(tmp_path / "a", seed=3)
-        _, p2 = self.run_disk_episode(tmp_path / "b", seed=3)
+        p1 = self.run_disk_episode(tmp_path / "a", seed=3)
+        p2 = self.run_disk_episode(tmp_path / "b", seed=3)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_np_off_exports_no_negatives(self, tmp_path):
-        (export, _), prompts_path = self.run_disk_episode(tmp_path, seed=5, np=False)
+    def test_np_off_exports_no_negatives(self, tmp_path, monkeypatch):
+        original, exports = cli.build_export, []
+
+        def recording(*args):  # the PromptSet `maup run` writes
+            exports.append(original(*args))
+            return exports[-1]
+
+        monkeypatch.setattr(cli, "build_export", recording)
+        prompts_path = self.run_disk_episode(tmp_path, "--no-np", seed=5)
+        (export,) = exports
         assert export.negatives.shape == (0, 2)
         assert json.loads(prompts_path.read_text())["negatives"] == []
 
     def test_heatmaps_written_on_request(self, tmp_path):
         paths = save_phantom(PhantomSpec(family="disk", seed=2), tmp_path / "ph")
-        spec = EpisodeSpec(
-            support_feature_path=str(paths["support_features"]),
-            support_mask_path=str(paths["support_mask"]),
-            query_feature_path=str(paths["query_features"]),
-            output_dir=str(tmp_path / "out"),
-            config=PromptConfig(seed=2),
-            heatmaps=True,
-        )
-        run_episode(spec)
+        assert main(self.run_args(paths, tmp_path / "out", "--seed", "2", "--heatmaps")) == 0
         for name in ("mean.pgm", "uncertainty.pgm", "negative.pgm"):
             assert (tmp_path / "out" / name).exists()
 
     def test_missing_file_carries_stage_context(self, tmp_path):
-        spec = EpisodeSpec(
-            support_feature_path=str(tmp_path / "nope.maup"),
-            support_mask_path=str(tmp_path / "nope.maup"),
-            query_feature_path=str(tmp_path / "nope.maup"),
-            output_dir=str(tmp_path / "out"),
-        )
+        nope = {name: tmp_path / "nope.maup" for name in ("support_features", "support_mask", "query_features")}
         with pytest.raises(OSError):
-            run_episode(spec)
+            _cmd_run(build_parser().parse_args(self.run_args(nope, tmp_path / "out")))
 
     def test_wrong_tensor_type_carries_stage_context(self, tmp_path):
-        from maup.errors import FormatError
-
         paths = save_phantom(PhantomSpec(family="disk", seed=2), tmp_path / "ph")
-        spec = EpisodeSpec(
-            support_feature_path=str(paths["support_mask"]),  # mask in the features slot
-            support_mask_path=str(paths["support_mask"]),
-            query_feature_path=str(paths["query_features"]),
-            output_dir=str(tmp_path / "out"),
-        )
+        args = self.run_args(paths, tmp_path / "out", support_feat="support_mask")  # mask in the features slot
         with pytest.raises(FormatError, match="support features"):
-            run_episode(spec)
+            _cmd_run(build_parser().parse_args(args))
 
     def test_corrupt_file_carries_stage_context(self, tmp_path):
-        from maup.errors import FormatError
-
         paths = save_phantom(PhantomSpec(family="disk", seed=2), tmp_path / "ph")
         bad = tmp_path / "ph" / "query_features.maup"
         bad.write_bytes(bad.read_bytes()[:10])  # truncate mid-header
-        spec = EpisodeSpec(
-            support_feature_path=str(paths["support_features"]),
-            support_mask_path=str(paths["support_mask"]),
-            query_feature_path=str(bad),
-            output_dir=str(tmp_path / "out"),
-        )
         with pytest.raises(FormatError, match="query features"):
-            run_episode(spec)
+            _cmd_run(build_parser().parse_args(self.run_args(paths, tmp_path / "out")))
 
     def test_misaligned_gt_rejected(self, tmp_path):
-        from maup.tensors import save_tensor
-
         paths = save_phantom(PhantomSpec(family="disk", seed=2), tmp_path / "ph")
         small_gt = tmp_path / "gt.maup"
         save_tensor(BitMask(np.ones((4, 4), dtype=np.uint8)), small_gt)
-        spec = EpisodeSpec(
-            support_feature_path=str(paths["support_features"]),
-            support_mask_path=str(paths["support_mask"]),
-            query_feature_path=str(paths["query_features"]),
-            query_gt_mask_path=str(small_gt),
-            output_dir=str(tmp_path / "out"),
-        )
+        args = self.run_args(paths, tmp_path / "out", "--query-gt", str(small_gt))
         with pytest.raises(ShapeError, match="ground truth"):
-            run_episode(spec)
+            _cmd_run(build_parser().parse_args(args))
         assert not (tmp_path / "out" / "prompts.json").exists()
-
-    def test_returns_the_ground_truth_it_checked(self, tmp_path):
-        (prompts, gt), _ = self.run_disk_episode(tmp_path, seed=7)
-        want = generate_phantom(PhantomSpec(family="disk", contrast=1.0, noise=0.0, seed=7)).query_gt
-        assert np.array_equal(gt.bits, want.bits)
-        assert prompts.n_regions == 30
 
 
 class TestSurrogate:

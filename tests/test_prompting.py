@@ -808,11 +808,13 @@ class TestListReference:
         k_extra=st.integers(0, 3),
         k_share=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
+        spacing=st.sampled_from([1, 2**32]),
     )
-    def test_kmeans_matches_list_reference(self, n, grid, k_extra, k_share, seed):
-        # duplicate points allowed; k runs from 1 to a few past n
+    def test_kmeans_matches_list_reference(self, n, grid, k_extra, k_share, seed, spacing):
+        # duplicate points allowed; k runs from 1 to a few past n; a spacing of 2**32 puts
+        # row * width past int64, where a flat row-major key would wrap
         rng = np.random.default_rng(seed)
-        points = [(int(r), int(c)) for r, c in zip(*(rng.integers(0, g, n) for g in grid))]
+        points = [(int(r) * spacing, int(c) * spacing) for r, c in zip(*(rng.integers(0, g, n) for g in grid))]
         k = 1 + int(k_share * (n - 1)) + k_extra
         got = as_points(kmeans(np.array(points, dtype=np.int64), k, seed))
         assert got == kmeans_reference(points, k, seed)
