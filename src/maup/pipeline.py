@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyMaskError, MaupError, ShapeError
 from .phantom import Phantom, PhantomSpec, generate_phantom
-from .prompting import (
-    PromptConfig,
-    PromptSet,
-    episode_seed_streams,
-    positive_prompts,
-    select_prompts,
-)
+from .prompting import PromptConfig, PromptSet, _once, _positives, _select, episode_seed_streams
 from .prototypes import regional_prototypes
 from .regions import (
     StructuringElement,
@@ -68,19 +62,6 @@ def prepare_support(
     pools the periphery band of radius ``cfg.radius``.
     """
     return _support({}, support_features, support_mask, cfg, cfg.n_regions)
-
-
-def _once(memo: dict, key, fn, *args):
-    """``fn(*args)``, computed once per ``memo`` key; a MaupError it raised is raised again."""
-    if key not in memo:
-        try:
-            memo[key] = fn(*args)
-        except MaupError as e:
-            memo[key] = e
-            raise
-    if isinstance(memo[key], MaupError):
-        raise memo[key]
-    return memo[key]
 
 
 def _support(memo: dict, f: FeatureMap, m: BitMask, cfg: PromptConfig, n_seeds: int) -> Support:
@@ -178,20 +159,22 @@ def execute_episode(
 def _episode(
     memo: dict, f: FeatureMap, m: BitMask, q: FeatureMap, cfg: PromptConfig, n_seeds: int
 ) -> EpisodeResult:
-    """:func:`execute_episode` with every stage up to the positives looked up in ``memo``.
+    """:func:`execute_episode` with its stages looked up in ``memo``.
 
-    Memo keys beyond :func:`_support`'s and :func:`_maps`': ("maps", n_f, np)
-    and ("positives", mean bytes, uncertainty bytes, mmp, ump), so equal maps
-    share positives.
-    Keys name only n_f and the toggles: one memo serves one support, query
-    and seed, with every other config field the same.
+    Memo keys beyond :func:`_support`'s and :func:`_maps`': ("maps", n_f, np),
+    ("positives", mean bytes, uncertainty bytes, mmp, ump), so equal maps
+    share positives, and the K-means and negative candidate keys of
+    :func:`~maup.prompting._positives` and :func:`~maup.prompting._negatives`,
+    so equal candidates share clusters.
+    Keys name only n_f, the toggles and the inputs of a stage: one memo
+    serves one support, query and seed, with every other config field the same.
     """
     support = _support(memo, f, m, cfg, n_seeds)
     mean, uncert, neg_map = _once(memo, ("maps", cfg.n_regions, cfg.np), _maps, memo, support, q, cfg)
     _, pos_seed, neg_seed = _once(memo, "streams", episode_seed_streams, cfg.seed)
     key = ("positives", mean.values.tobytes(), uncert.values.tobytes(), cfg.mmp, cfg.ump)
-    positives = _once(memo, key, positive_prompts, mean, uncert, cfg, pos_seed)
-    prompts = select_prompts(positives, neg_map, cfg, neg_seed)
+    positives = _once(memo, key, _positives, memo, mean, uncert, cfg, pos_seed)
+    prompts = _select(memo, positives, neg_map, cfg, neg_seed)
     return EpisodeResult(prompts, support.labels, mean, uncert, neg_map, len(support.protos))
 
 

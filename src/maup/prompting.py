@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ClusterError, ConfigError, EmptyCandidateError, OverlapError, ShapeError
+from .errors import ClusterError, ConfigError, EmptyCandidateError, MaupError, OverlapError, ShapeError
 from .regions import area_and_perimeter
 from .simmaps import candidate_mask, percentile_threshold
 from .tensors import BitMask, ScalarMap
@@ -75,6 +75,9 @@ class PromptSet:
 
     Points are M x 2 int64 (row, col) grid arrays. ``sources[i]`` names the path
     that chose positive row i: MEAN_TAG rows first, then UNCERTAINTY_TAG rows.
+    ``k_used`` is the adaptive k of the mean path (0 with it off); K-means
+    keeps at most one prompt per distinct candidate, so the MEAN_TAG rows
+    number at most min(k_used, distinct candidates).
     ``n_regions`` is None until :func:`maup.surrogate.build_export` sets it.
     """
 
@@ -130,6 +133,19 @@ def to_image_xy(points: np.ndarray, scale: int) -> np.ndarray:
         return xy
 
 
+def _once(memo: dict, key, fn, *args):
+    """``fn(*args)``, computed once per ``memo`` key; a MaupError it raised is raised again."""
+    if key not in memo:
+        try:
+            memo[key] = fn(*args)
+        except MaupError as e:
+            memo[key] = e
+            raise
+    if isinstance(memo[key], MaupError):
+        raise memo[key]
+    return memo[key]
+
+
 def episode_seed_streams(seed) -> tuple[np.random.SeedSequence, ...]:
     """Derive the three per-stage seed streams (partition, positives, negatives)."""
     return tuple(np.random.SeedSequence(seed).spawn(3))
@@ -156,7 +172,6 @@ def adaptive_k(c: float, cfg: PromptConfig) -> int:
 def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seed k centers by squared-distance-weighted picks, each drawn as ``rng.choice`` draws it."""
     n = len(coords)
-    rows, cols = coords.T
     centers = np.empty((k, 2), dtype=np.float64)
     d2 = np.full(n, np.inf)  # inf before the first pick, which is uniform
     for j in range(k):
@@ -167,16 +182,17 @@ def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             pick = int(rng.integers(n))
         centers[j] = coords[pick]
-        np.minimum(d2, (rows - centers[j, 0]) ** 2 + (cols - centers[j, 1]) ** 2, out=d2)
+        step = coords - centers[j]
+        step *= step
+        np.minimum(d2, step[:, 0] + step[:, 1], out=d2)
     return centers
 
 
 def _assign(coords: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center labels (ties to the lowest index) and the N x k squared distances."""
-    d2 = coords[:, :1] - centers[:, 0]
-    dc = coords[:, 1:] - centers[:, 1]
-    d2 *= d2
-    d2 += dc * dc
+    step = coords[:, None] - centers
+    step *= step
+    d2 = step[:, :, 0] + step[:, :, 1]
     return d2.argmin(axis=1), d2
 
 
@@ -205,14 +221,14 @@ def lloyd_cluster(
     centers = _kmeans_pp_init(coords, k, rng)
     labels, d2 = _assign(coords, centers)
     wcss_init = float(d2[np.arange(n), labels].sum())
-    axes = coords.T.copy()  # contiguous weights for np.bincount
+    weights = coords.T.ravel()  # both axes, one after the other, as np.bincount weights
+    lanes = np.array([[0], [k]])  # axis a of a point adds to bin a * k + its label
     for _ in range(LLOYD_MAX_ITER):
         counts = np.bincount(labels, minlength=k)
-        size = np.maximum(counts, 1)  # an empty cluster's center is reseeded below
-        new_centers = np.empty((k, 2))
-        for axis, weights in enumerate(axes):
-            np.divide(np.bincount(labels, weights, k), size, out=new_centers[:, axis])
         empties = [j for j, count in enumerate(counts.tolist()) if not count]
+        size = np.maximum(counts, 1) if empties else counts  # an empty cluster's center is reseeded below
+        sums = np.bincount((labels + lanes).ravel(), weights, 2 * k)
+        new_centers = (sums.reshape(2, k) / size).T
         if empties:
             own_d2 = d2[np.arange(n), labels]
             for j in empties:
@@ -222,7 +238,7 @@ def lloyd_cluster(
         moved = max(math.sqrt(dr * dr + dc * dc) for dr, dc in (new_centers - centers).tolist())
         centers, previous = new_centers, labels
         labels, d2 = _assign(coords, centers)
-        if not empties and (moved < LLOYD_TOL or np.array_equal(labels, previous)):
+        if not empties and (moved < LLOYD_TOL or (labels == previous).all()):
             break
     wcss_final = float(d2[np.arange(n), labels].sum())
     if wcss_final > wcss_init + 1e-9:
@@ -248,8 +264,14 @@ def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
     members = labels[:, None] == np.arange(k)
     nearest = np.where(members, d2, np.inf).argmin(axis=0)  # first min = smallest index
     lonely = ~members.any(axis=0)
-    nearest[lonely] = d2[:, lonely].argmin(axis=0)
+    if lonely.any():
+        nearest[lonely] = d2[:, lonely].argmin(axis=0)
     return pts[list(dict.fromkeys(nearest.tolist()))]
+
+
+def _kmeans_and_state(points: np.ndarray, k: int, rng: np.random.Generator):
+    """:func:`kmeans` drawing from ``rng``, and the state it leaves ``rng`` in."""
+    return kmeans(points, k, rng), rng.bit_generator.state
 
 
 def positive_prompts(
@@ -266,6 +288,18 @@ def positive_prompts(
     Returns a :class:`PromptSet` without negatives; a path that is off gives
     no points, and k 0 or a threshold None.
     """
+    return _positives({}, mean, uncert, cfg, seed)
+
+
+def _positives(memo: dict, mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig, seed) -> PromptSet:
+    """:func:`positive_prompts` with the mean path's K-means looked up in ``memo``.
+
+    Memo key ("kmeans", "mean", candidate bytes, k). The entry holds the
+    generator's state after the first run, and every lookup sets it back, so
+    the uncertainty picks draw as they would after a run of their own: the
+    mean path is the first consumer of a fresh generator, and one memo
+    serves one ``seed``.
+    """
     if not (cfg.mmp or cfg.ump):
         raise ConfigError("at least one positive path (mmp or ump) must be enabled")
     if mean.values.shape != uncert.values.shape:
@@ -275,14 +309,15 @@ def positive_prompts(
     k, tau_mean, tau_uncert = 0, None, None
 
     if cfg.mmp:
-        tau_mean = percentile_threshold(mean, cfg.percentile)
-        hot = candidate_mask(mean, tau_mean, "mean")
+        tau_mean, hot = _thresholded(mean, cfg.percentile, "mean")
         k = adaptive_k(complexity(hot), cfg)
-        mean_pts = kmeans(np.argwhere(hot), k, rng)
+        cands = np.argwhere(hot)
+        key = ("kmeans", "mean", cands.tobytes(), k)
+        mean_pts, rng.bit_generator.state = _once(memo, key, _kmeans_and_state, cands, k, rng)
 
     if cfg.ump:
-        tau_uncert = percentile_threshold(uncert, cfg.percentile)
-        hot = candidate_mask(uncert, tau_uncert, "uncertainty").ravel()
+        tau_uncert, hot = _thresholded(uncert, cfg.percentile, "uncertainty")
+        hot = hot.ravel()
         cands = np.flatnonzero(hot)  # flat indices, row-major
         taken = (mean_pts[:, 0] * uncert.width + mean_pts[:, 1]).tolist()
         if len(cands) - np.count_nonzero(hot[taken]) >= N_UNCERTAINTY_PICKS:
@@ -317,17 +352,35 @@ def negative_prompts(
     first. Returns an N x 2 int64 prompt array and the threshold; the array is
     empty (never raises) when nothing survives, and callers flag that.
     """
+    return _negatives({}, neg_map, positives, n_neg, seed, percentile)
+
+
+def _negatives(memo: dict, neg_map: ScalarMap, positives, n_neg: int, seed, percentile: float):
+    """:func:`negative_prompts` with its threshold, candidates and K-means looked up in ``memo``.
+
+    Memo keys ("hot", periphery map bytes), which holds the threshold and the
+    candidate mask, and ("kmeans", "negative", surviving candidate bytes).
+    One memo serves one ``seed``, ``n_neg`` and ``percentile``.
+    """
     if n_neg < 1:
         raise ConfigError(f"need n_neg >= 1, got {n_neg}")
-    tau_neg = percentile_threshold(neg_map, percentile)
-    hot = candidate_mask(neg_map, tau_neg, "negative")
+    key = ("hot", neg_map.values.tobytes())
+    tau_neg, hot = _once(memo, key, _thresholded, neg_map, percentile, "negative")
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
     pos = pos[((pos >= 0) & (pos < hot.shape)).all(axis=1)]  # only in-frame points collide
+    hot = hot.copy()  # the memo's mask stays whole
     hot[pos[:, 0], pos[:, 1]] = False
     remaining = np.argwhere(hot)
     if not len(remaining):
         return remaining, tau_neg
-    return kmeans(remaining, min(n_neg, len(remaining)), seed), tau_neg
+    key = ("kmeans", "negative", remaining.tobytes())
+    return _once(memo, key, kmeans, remaining, min(n_neg, len(remaining)), seed), tau_neg
+
+
+def _thresholded(map_: ScalarMap, percentile: float, tag: str) -> tuple[float, np.ndarray]:
+    """A map's percentile threshold and the candidate mask it gives."""
+    tau = percentile_threshold(map_, percentile)
+    return tau, candidate_mask(map_, tau, tag)
 
 
 def generate_prompts(
@@ -349,11 +402,16 @@ def generate_prompts(
 
 def select_prompts(ps: PromptSet, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
     """:func:`generate_prompts` from :func:`positive_prompts`' set ``ps``, which is only read."""
+    return _select({}, ps, neg_map, cfg, neg_seed)
+
+
+def _select(memo: dict, ps: PromptSet, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
+    """:func:`select_prompts` with the negatives' stages looked up in ``memo`` (see :func:`_negatives`)."""
     neg_pts, tau_neg, flags = np.empty((0, 2), dtype=np.int64), None, ()
     if cfg.np and neg_map is None:
         flags = ("np-disabled-empty-periphery",)
     elif cfg.np:
-        neg_pts, tau_neg = negative_prompts(neg_map, ps.positives, cfg.n_neg, neg_seed, cfg.percentile)
+        neg_pts, tau_neg = _negatives(memo, neg_map, ps.positives, cfg.n_neg, neg_seed, cfg.percentile)
         if not len(neg_pts):
             flags = ("np-exhausted-by-positives",)
     return replace(ps, negatives=neg_pts, tau_neg=tau_neg, flags=flags)

@@ -36,7 +36,10 @@ class StructuringElement:
 
     @cached_property
     def rows(self) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
-        """(dxs, dys) pairs: each distinct set of dx and the dy values whose offsets use it."""
+        """(dxs, dys) pairs: each distinct set of dx and the dy values whose offsets use it.
+
+        Each dxs is a run [-half, half]; the pairs come in increasing half-width.
+        """
         by_half: dict[int, tuple[int, ...]] = {}  # row dy of the disk spans dx in [-half, half]
         for dy in range(-self.radius, self.radius + 1):
             half = math.isqrt(self.radius**2 - dy * dy)
@@ -58,14 +61,19 @@ def farthest_point_seeds(fg: BitMask, n: int, seed) -> np.ndarray:
     if len(coords) == 0:
         raise EmptyMaskError("cannot place seeds on an empty foreground")
     rng = np.random.default_rng(seed)
-    first = int(rng.integers(len(coords)))
-    chosen = [first]
+    chosen = [int(rng.integers(len(coords)))]
+    rows, cols = coords.T.copy()  # contiguous int64 axes
     # min squared distance from every fg pixel to the chosen set; exact in int64
-    d2 = ((coords - coords[first]) ** 2).sum(axis=1)
-    while len(chosen) < min(n, len(coords)):
-        nxt = int(np.argmax(d2))  # first max = smallest (row, col) among ties
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((coords - coords[nxt]) ** 2).sum(axis=1))
+    d2 = np.full(len(coords), np.iinfo(np.int64).max)
+    dr, dc = np.empty_like(d2), np.empty_like(d2)
+    for _ in range(min(n, len(coords)) - 1):
+        np.subtract(rows, rows[chosen[-1]], out=dr)
+        np.subtract(cols, cols[chosen[-1]], out=dc)
+        dr *= dr
+        dc *= dc
+        dr += dc
+        np.minimum(d2, dr, out=d2)
+        chosen.append(int(d2.argmax()))  # first max = smallest (row, col) among ties
     return coords[chosen]
 
 
@@ -97,20 +105,20 @@ def voronoi_partition(fg: BitMask, seeds) -> np.ndarray:
 def dilate(m: BitMask, se: StructuringElement) -> BitMask:
     """Morphological dilation: out(y,x) = 1 iff some offset hits a set pixel.
 
-    Reads outside the frame count as 0, so the output never wraps. Each
-    distinct set of horizontal shifts in ``se.rows`` is ORed once, then
-    shifted vertically once per ``dy`` that uses it.
+    Reads outside the frame count as 0, so the output never wraps. The
+    horizontal runs of ``se.rows`` are built in order of half-width, each
+    from the last by two shifted ORs per step, and each run is shifted
+    vertically once per ``dy`` that uses it.
     """
     h, w = m.height, m.width
     # offsets that stay in the frame all lie within this radius, so a larger disk sets the same bits
     se = StructuringElement.disk(min(se.radius, math.isqrt((h - 1) ** 2 + (w - 1) ** 2) + 1))
     out = np.zeros_like(m.bits)
-    for dxs, dys in se.rows:
-        band = np.zeros_like(m.bits)
-        for dx in dxs:
-            x0, x1 = max(0, dx), w + min(0, dx)
-            if x0 < x1:
-                band[:, x0:x1] |= m.bits[:, x0 - dx : x1 - dx]
+    band, half = m.bits.copy(), 0  # the run of half-width 0: dx = 0 alone
+    for dxs, dys in se.rows:  # dxs is [-half, half], half-widths increasing
+        for half in range(half + 1, max(dxs) + 1):
+            band[:, half:] |= m.bits[:, :-half]
+            band[:, :-half] |= m.bits[:, half:]
         for dy in dys:
             y0, y1 = max(0, dy), h + min(0, dy)
             if y0 < y1:

@@ -60,6 +60,23 @@ class TestRunCommand:
         assert (tmp_path / "out" / "prompts.json").exists()
         assert "k_used=" in capsys.readouterr().out
 
+    def test_k_used_is_the_adaptive_k_beyond_the_distinct_candidates(self, tmp_path):
+        # gamma 1e6 drives the adaptive k to n_max; K-means keeps one prompt per distinct
+        # candidate, so the mean-centroid prompts number the candidates while k_used stays k
+        ph = make_episode_files(tmp_path, seed=7)
+        rc = main(run_args(ph, tmp_path / "out", "--nmax", "100000", "--gamma", "1e6", "--scale", "1"))
+        assert rc == 0
+        record = json.loads((tmp_path / "out" / "prompts.json").read_text())
+        assert record["k_used"] == 100000
+        cfg = maup.PromptConfig(n_max=100000, gamma=1e6, scale=1)
+        support = maup.prepare_support(
+            load_tensor(ph / "support_features.maup"), load_tensor(ph / "support_mask.maup"), cfg
+        )
+        mean, _, _ = maup.query_maps(support, load_tensor(ph / "query_features.maup"), cfg)
+        candidates = np.count_nonzero(mean.values >= record["tau_mean"])
+        sources = [p["source"] for p in record["positives"]]
+        assert sources.count("mean-centroid") == candidates < 100000
+
     def test_gt_evaluation_line(self, tmp_path, capsys):
         ph = make_episode_files(tmp_path)
         rc = main(

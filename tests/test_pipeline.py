@@ -107,6 +107,15 @@ def reference_ablation(families, toggles, nf_values, seeds, threshold=0.5):
     return AblationReport(rows=tuple(rows))
 
 
+def kmeans_role(seed):
+    """The prompt path of a ``maup.prompting.kmeans`` call, told by its seed.
+
+    The mean path clusters with its generator, which the uncertainty picks
+    draw from next; the negative path passes its seed stream.
+    """
+    return "mean" if isinstance(seed, np.random.Generator) else "negative"
+
+
 def episode_bytes(res, height, width):
     """Everything an episode hands on: the export text, the label map and every map's bytes."""
     maps = [res.mean, res.uncertainty] + ([res.negative] if res.negative is not None else [])
@@ -688,14 +697,14 @@ class TestAblation:
         assert len(report.rows) == 1 * 1 * 5 * 2
 
     def test_failed_rows_are_flagged_not_dropped(self, monkeypatch):
-        real = pl.select_prompts
+        real = pl._select  # select_prompts with the sweep's memo: the per-cell step
 
-        def flaky(positives, neg_map, cfg, neg_seed):
+        def flaky(memo, positives, neg_map, cfg, neg_seed):
             if cfg.seed == 1:
                 raise EmptyMaskError("synthetic failure")
-            return real(positives, neg_map, cfg, neg_seed)
+            return real(memo, positives, neg_map, cfg, neg_seed)
 
-        monkeypatch.setattr(pl, "select_prompts", flaky)
+        monkeypatch.setattr(pl, "_select", flaky)
         report = pl.ablation_run(
             [PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, 1, 2]
         )
@@ -758,13 +767,17 @@ class TestAblation:
         "similarity_scores",  # one product per row set: negative path off, on
         "cosine_rows",  # one epilogue per row set, less the off row sets that take their sibling's maps
         "label_components",  # one component labelling per (family, seed)
-        "positive_prompts",  # one per distinct (maps, mmp, ump)
-        "select_prompts",  # the rest of prompting stays per cell
+        "_positives",  # positive_prompts, one per distinct (maps, mmp, ump)
+        "_select",  # select_prompts, per cell
     ]
     NFS = [1, 5, 15, 30, 60]
 
     def shared_work(self, monkeypatch, tmp_path, toggles):
-        """Stage calls of one sweep call over every family and five n_f; its CSV must equal the reference."""
+        """Stage calls of one sweep call over every family and five n_f; its CSV must equal the reference.
+
+        The counts come in SHARED_STAGES order, then K-means calls on the mean
+        path and on the negative path.
+        """
         counts = dict.fromkeys(self.SHARED_STAGES, 0)
 
         def counting(name):
@@ -778,11 +791,19 @@ class TestAblation:
 
         for name in self.SHARED_STAGES:
             monkeypatch.setattr(pl, name, counting(name))
+        roles = Counter()
+        real_kmeans = mp.kmeans
+
+        def kmeans_by_role(points, k, seed):
+            roles[kmeans_role(seed)] += 1
+            return real_kmeans(points, k, seed)
+
+        monkeypatch.setattr(mp, "kmeans", kmeans_by_role)
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
         args = (families, toggles, self.NFS, [0])
         report = ablation_run(*args)
         assert len(report.rows) == 20 * len(toggles) and all(r.status == "ok" for r in report.rows)
-        got = tuple(counts.values())
+        got = tuple(counts.values()) + (roles["mean"], roles["negative"])
         report.write_csv(tmp_path / "got.csv")
         reference_ablation(*args).write_csv(tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -806,12 +827,40 @@ class TestAblation:
                     out.append((f, nf))
         return out
 
+    def distinct_clusterings(self, toggles):
+        """(mean, negative): distinct K-means inputs over the sweep's cells, each run as its own episode.
+
+        A sweep runs K-means once per distinct (candidate points, k) of a role
+        within a (family, seed). Which candidate sets repeat across n_f depends
+        on the maps, and so on the BLAS kernel, so the counts are derived, not
+        assumed.
+        """
+        inputs = set()
+        real_kmeans = mp.kmeans
+
+        def recorded(points, k, seed):
+            inputs.add((family, kmeans_role(seed), np.asarray(points).tobytes(), k))
+            return real_kmeans(points, k, seed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mp, "kmeans", recorded)
+            for family in FAMILIES:
+                ph = generate_phantom(PhantomSpec(family=family, contrast=0.4, noise=0.1, seed=0))
+                for (mmp, ump, np_), nf in itertools.product(toggles, self.NFS):
+                    cfg = PromptConfig(mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=0, scale=1)
+                    execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
+        roles = Counter(role for _, role, _, _ in inputs)
+        return roles["mean"], roles["negative"]
+
     def test_shared_work_per_sweep_call(self, monkeypatch, tmp_path):
         # positives: ump and mmp+ump; mmp+ump+np shares the mmp+ump ones, its maps being equal.
         # Epilogues: 20 on row sets, and an off row set only where its product is not the
-        # on product's regional rows (at n_f 1 in every family with this numpy and BLAS)
+        # on product's regional rows (at n_f 1 in every family with this numpy and BLAS).
+        # K-means: once per distinct candidate set and role in each family
         unequal = len(self.unequal_siblings())
-        want = (4, 4, 4, 20, 20, 4, 40, 20 + unequal, 4, 40, 60)
+        clusterings = self.distinct_clusterings(SWEEP_TOGGLES)
+        assert 0 < clusterings[0] < 40 and 0 < clusterings[1] < 20  # fewer than one per cell that clusters
+        want = (4, 4, 4, 20, 20, 4, 40, 20 + unequal, 4, 40, 60) + clusterings
         assert self.shared_work(monkeypatch, tmp_path, SWEEP_TOGGLES) == want
 
     @pytest.mark.parametrize(
@@ -825,7 +874,8 @@ class TestAblation:
     )
     def test_shared_work_in_any_toggle_order_or_subset(self, monkeypatch, tmp_path, toggles, want):
         epilogues = want[7] if want[7] is not None else 20 + len(self.unequal_siblings())
-        assert self.shared_work(monkeypatch, tmp_path, toggles) == want[:7] + (epilogues,) + want[8:]
+        want = want[:7] + (epilogues,) + want[8:] + self.distinct_clusterings(toggles)
+        assert self.shared_work(monkeypatch, tmp_path, toggles) == want
 
     def test_unequal_maps_select_positives_per_row_set(self, monkeypatch, tmp_path):
         # the regional rows of the negative-path-on product at n_f 5 (5 regional
@@ -833,7 +883,7 @@ class TestAblation:
         # pixel (0, 0): the off product no longer equals them, so the off row set
         # runs its own epilogue and, its maps differing, selects its own mmp+ump
         # positives, while the other groups still share theirs
-        real_scores, real_cosines, real_positives = sm.similarity_scores, pl.cosine_rows, pl.positive_prompts
+        real_scores, real_cosines, real_positives = sm.similarity_scores, pl.cosine_rows, pl._positives
         epilogues, calls = [], []
 
         def nudged(protos, feats):
@@ -846,14 +896,14 @@ class TestAblation:
             epilogues.append(len(protos))
             return real_cosines(scores, protos, pix_norm)
 
-        def counted(mean, uncert, cfg, seed):
+        def counted(memo, mean, uncert, cfg, seed):
             calls.append((cfg.n_regions, cfg.mmp))
-            return real_positives(mean, uncert, cfg, seed)
+            return real_positives(memo, mean, uncert, cfg, seed)
 
         for module in (pl, sm):  # the reference reaches the product through maup.simmaps
             monkeypatch.setattr(module, "similarity_scores", nudged)
         monkeypatch.setattr(pl, "cosine_rows", counted_cosines)
-        monkeypatch.setattr(pl, "positive_prompts", counted)
+        monkeypatch.setattr(pl, "_positives", counted)  # positive_prompts with the sweep's memo
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
         args = (families, SWEEP_TOGGLES, self.NFS, [0])
         ablation_run(*args).write_csv(tmp_path / "got.csv")
@@ -923,6 +973,35 @@ class TestAblation:
                 equal = np.array_equal(pl.similarity_scores(support.protos, feats), pl.similarity_scores(on_rows, feats)[:n])
                 assert all((off.mean is on.mean) == equal for off in offs), (nf, equal)
                 assert not (refuse and equal)
+
+    @pytest.mark.parametrize("toggles", [SWEEP_TOGGLES, SWEEP_TOGGLES[::-1]], ids=["forward", "reversed"])
+    def test_every_cell_exports_the_prompts_of_its_own_episode(self, toggles):
+        # Dice cannot see a negative or an uncertainty pick that moves, so every cell's exported
+        # PromptSet is compared with a fresh episode's. Cells share K-means runs by candidate set,
+        # and a shared mean-path run hands on the generator state the uncertainty picks draw from
+        real_episode, real_export, cells, exports = pl._episode, pl.build_export, [], []
+
+        def recorded(memo, f, m, q, cfg, n_seeds):
+            cells.append((f, m, q, cfg))
+            return real_episode(memo, f, m, q, cfg, n_seeds)
+
+        def captured(prompts, n_regions, height, width):
+            exports.append(real_export(prompts, n_regions, height, width))
+            return exports[-1]
+
+        families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pl, "_episode", recorded)
+            patch.setattr(pl, "build_export", captured)
+            report = ablation_run(families, toggles, self.NFS, [0, 1, 2])
+        assert len(cells) == len(exports) == len(report.rows) == len(FAMILIES) * 3 * len(self.NFS) * 3
+        assert all(r.status == "ok" for r in report.rows)
+        for (f, m, q, cfg), got in zip(cells, exports):
+            fresh = execute_episode(f, m, q, cfg)
+            want = build_export(fresh.prompts, fresh.n_regions, q.height, q.width)
+            assert got.canonical_json() == want.canonical_json(), cfg
+        covered = Counter((cfg.mmp, cfg.ump, cfg.np, cfg.n_regions, cfg.seed) for _, _, _, cfg in cells)
+        assert set(covered.values()) == {len(FAMILIES)}  # each cell once per family
 
     def test_a_failing_band_is_computed_once_per_family_and_seed(self, monkeypatch):
         calls = []
