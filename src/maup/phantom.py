@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ FAMILIES = ("disk", "ellipse", "two-lobe", "annulus")
 
 _FEATURE_NORM = 2.0  # magnitude of every cluster mean vector
 _BAND_RADIUS = 3  # width of the tissue band painted around the organ
+_PAINT_BLOCK = 1 << 16  # float64 values per block of painted channels
 
 
 @dataclass(frozen=True)
@@ -92,17 +94,27 @@ def _scene_masks(spec: PhantomSpec, cy, cx, radius, lobe_dx):
     return organ, decoy
 
 
-def _paint_features(rng, spec, basis, organ, decoy, band) -> FeatureMap:
+def _paint_features(spec, basis, organ, decoy, band, noise) -> FeatureMap:
+    """The float32 features of a scene: its tissue's basis vector plus the scaled noise, in float64.
+
+    Painted a block of channels at a time, so no float64 copy of the whole
+    scene is made beside the noise fields.
+    """
     mu_fg, mu_peri, mu_bg = basis
-    canvas = np.empty((spec.channels, spec.size, spec.size), dtype=np.float64)
-    canvas[:] = mu_bg[:, None, None]
-    canvas[:, band] = mu_peri[:, None]
-    canvas[:, decoy] = mu_peri[:, None]
-    canvas[:, organ] = mu_fg[:, None]
+    peri = band | decoy  # the decoy is band tissue
+    out = np.empty((spec.channels, spec.size, spec.size), dtype=np.float32)
+    step = max(1, _PAINT_BLOCK // organ.size)
     with np.errstate(over="ignore"):  # a huge noise overflows to inf, which FeatureMap rejects
-        if spec.noise > 0.0:
-            canvas = canvas + spec.noise * rng.standard_normal(canvas.shape)
-        return FeatureMap(canvas.astype(np.float32))
+        for c in range(0, spec.channels, step):
+            block = slice(c, c + step)
+            canvas = np.empty(out[block].shape, dtype=np.float64)
+            canvas[:] = mu_bg[block, None, None]
+            canvas[:, peri] = mu_peri[block, None]
+            canvas[:, organ] = mu_fg[block, None]
+            if spec.noise > 0.0:
+                canvas += spec.noise * noise[block]
+            out[block] = canvas
+    return FeatureMap(out)
 
 
 def _orthonormal_triple(rng, channels: int) -> np.ndarray:
@@ -118,34 +130,71 @@ def _orthonormal_triple(rng, channels: int) -> np.ndarray:
     return q
 
 
+@dataclass(frozen=True, eq=False)
+class PhantomDraws:
+    """The random draws of one phantom seed at one size and channel count.
+
+    They depend on nothing else, so every family, contrast and noise level
+    paints from the same draws (see :func:`paint_phantom`). ``rng`` stands
+    where the two noise fields start; :attr:`noise` draws them on first use,
+    so a noise-free phantom never does.
+    """
+
+    triple: np.ndarray  # C x 3 orthonormal directions of the cluster basis
+    center: tuple[float, float]  # support scene center (cy, cx)
+    radius_factor: float  # support organ radius over its family's base radius
+    shift: tuple[int, int]  # query scene shift (dy, dx)
+    scale: float  # query scene scale
+    size: int
+    rng: np.random.Generator
+
+    @cached_property
+    def noise(self) -> tuple[np.ndarray, np.ndarray]:
+        """Standard-normal C x size x size fields of the support and the query scene."""
+        shape = (len(self.triple), self.size, self.size)
+        return self.rng.standard_normal(shape), self.rng.standard_normal(shape)
+
+
+def phantom_draws(seed: int, size: int, channels: int) -> PhantomDraws:
+    """Draw one seed's basis triple and geometry jitter, in :func:`generate_phantom`'s order."""
+    rng = np.random.default_rng(seed)
+    triple = _orthonormal_triple(rng, channels)
+    # support geometry: jittered center and radius
+    cy = size / 2.0 + rng.uniform(-size / 16.0, size / 16.0)
+    cx = size / 2.0 + rng.uniform(-size / 16.0, size / 16.0)
+    radius_factor = rng.uniform(0.85, 1.15)
+    # query transform: shift the scene and rescale it around its center
+    shift_y, shift_x = (int(v) for v in rng.integers(-size // 10, size // 10 + 1, size=2))
+    scale = rng.uniform(0.9, 1.1)
+    return PhantomDraws(triple, (cy, cx), radius_factor, (shift_y, shift_x), scale, size, rng)
+
+
 def generate_phantom(spec: PhantomSpec) -> Phantom:
     """Build one deterministic episode from a spec.
 
     The same spec (including seed) always yields bit-identical tensors.
     Raises SpecError if the organ ends up clipped to nothing.
     """
-    rng = np.random.default_rng(spec.seed)
-    size = spec.size
+    return paint_phantom(spec, phantom_draws(spec.seed, spec.size, spec.channels))
+
+
+def paint_phantom(spec: PhantomSpec, draws: PhantomDraws) -> Phantom:
+    """The phantom of ``spec`` from the draws of its seed, size and channel count."""
+    size, q = spec.size, draws.triple
 
     # cluster basis: orthonormal triple with the band direction tilted toward
     # the organ direction by (1 - contrast)
-    q = _orthonormal_triple(rng, spec.channels)
     theta = spec.contrast * math.pi / 2.0
     mu_fg = _FEATURE_NORM * q[:, 0]
     mu_peri = _FEATURE_NORM * (math.cos(theta) * q[:, 0] + math.sin(theta) * q[:, 1])
     mu_bg = _FEATURE_NORM * q[:, 2]
     basis = (mu_fg, mu_peri, mu_bg)
 
-    # support geometry: jittered center and radius
-    cy = size / 2.0 + rng.uniform(-size / 16.0, size / 16.0)
-    cx = size / 2.0 + rng.uniform(-size / 16.0, size / 16.0)
+    cy, cx = draws.center
     base = 0.16 * size if spec.family == "two-lobe" else 0.2 * size
-    radius = base * rng.uniform(0.85, 1.15)
+    radius = base * draws.radius_factor
     lobe_dx = 0.21 * size
-
-    # query transform: shift the scene and rescale it around its center
-    shift_y, shift_x = (int(v) for v in rng.integers(-size // 10, size // 10 + 1, size=2))
-    scale = rng.uniform(0.9, 1.1)
+    (shift_y, shift_x), scale = draws.shift, draws.scale
 
     s_organ, s_decoy = _scene_masks(spec, cy, cx, radius, lobe_dx)
     q_organ, q_decoy = _scene_masks(
@@ -159,8 +208,9 @@ def generate_phantom(spec: PhantomSpec) -> Phantom:
     s_band = periphery_mask(support_mask, se).bits == 1
     q_band = periphery_mask(query_gt, se).bits == 1
 
-    support_features = _paint_features(rng, spec, basis, s_organ, s_decoy, s_band)
-    query_features = _paint_features(rng, spec, basis, q_organ, q_decoy, q_band)
+    s_noise, q_noise = draws.noise if spec.noise > 0.0 else (None, None)
+    support_features = _paint_features(spec, basis, s_organ, s_decoy, s_band, s_noise)
+    query_features = _paint_features(spec, basis, q_organ, q_decoy, q_band, q_noise)
 
     intensity = (q_organ | q_decoy).astype(np.float32)
     return Phantom(

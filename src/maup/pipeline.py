@@ -19,17 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyMaskError, MaupError, ShapeError
-from .phantom import Phantom, PhantomSpec, generate_phantom
+from .phantom import Phantom, PhantomSpec, generate_phantom, paint_phantom, phantom_draws
 from .prompting import PromptConfig, PromptSet, _once, _positives, _select, episode_seed_streams
 from .prototypes import regional_prototypes
-from .regions import (
-    StructuringElement,
-    farthest_point_seeds,
-    periphery_mask,
-    voronoi_partition,
-)
-from .simmaps import cosine_rows, mean_map, query_side, similarity_scores, uncertainty_map
-from .surrogate import build_export, component_mask, dice, label_components, surrogate_segment
+from .regions import StructuringElement, farthest_point_seeds, periphery_mask, seed_distances, voronoi_labels
+from .simmaps import query_side, rounded_cosines, similarity_scores, stack_moments
+from .surrogate import build_export, component_table, dice, kept_components, label_components, surrogate_segment, table_dice
 from .tensors import BitMask, FeatureMap, ScalarMap, save_tensor
 
 
@@ -67,18 +62,21 @@ def prepare_support(
 def _support(memo: dict, f: FeatureMap, m: BitMask, cfg: PromptConfig, n_seeds: int) -> Support:
     """The support of ``cfg``, its seeds a prefix of one greedy draw for ``n_seeds`` regions.
 
-    Memo keys: "streams", "seeds", "band" (with ``cfg.np`` only) and
-    ("support", n_f, np). A negative-path-off support is the negative-path-on
-    one at the same n_f without its periphery row when the memo holds that:
-    the band is pooled as label P, so the regional rows are equal.
+    Memo keys: "streams", "seeds", "distances" (from every seed to the
+    foreground; n_f regions take the nearest of the first n_f rows), "band"
+    (with ``cfg.np`` only) and ("support", n_f, np). A negative-path-off
+    support is the negative-path-on one at the same n_f without its periphery
+    row when the memo holds that: the band is pooled as label P, so the
+    regional rows are equal.
     """
     fps_seed, _, _ = _once(memo, "streams", episode_seed_streams, cfg.seed)
-    seeds = _once(memo, "seeds", _seeds, f, m, n_seeds, fps_seed)[: cfg.n_regions]
+    seeds = _once(memo, "seeds", _seeds, f, m, n_seeds, fps_seed)
     on = memo.get(("support", cfg.n_regions, True))
     if not cfg.np and isinstance(on, Support):
         return on._replace(periphery=None)
+    d2 = _once(memo, "distances", seed_distances, m, seeds)[: cfg.n_regions]
     band = _once(memo, "band", periphery_mask, m, StructuringElement.disk(cfg.radius)) if cfg.np else None
-    return _once(memo, ("support", cfg.n_regions, cfg.np), _prepare, f, m, seeds, band)
+    return _once(memo, ("support", cfg.n_regions, cfg.np), _prepare, f, m, d2, band)
 
 
 def _seeds(features: FeatureMap, mask: BitMask, n: int, fps_seed) -> np.ndarray:
@@ -90,13 +88,14 @@ def _seeds(features: FeatureMap, mask: BitMask, n: int, fps_seed) -> np.ndarray:
     return farthest_point_seeds(mask, n, fps_seed)
 
 
-def _prepare(features: FeatureMap, mask: BitMask, seeds: np.ndarray, band: BitMask | None) -> Support:
-    labels = voronoi_partition(mask, seeds)
+def _prepare(features: FeatureMap, mask: BitMask, d2: np.ndarray, band: BitMask | None) -> Support:
+    """The support of the seeds whose foreground distances are the rows of ``d2``."""
+    labels, n = voronoi_labels(mask, d2), len(d2)
     if band is None:
         return Support(labels, regional_prototypes(features, labels), None)
     # the band (dilation minus support) never meets the foreground: pool it as label P
-    rows = regional_prototypes(features, np.where(band.bits == 1, len(seeds), labels))
-    return Support(labels, rows[: len(seeds)], rows[-1] if len(rows) > len(seeds) else None)
+    rows = regional_prototypes(features, np.where(band.bits == 1, n, labels))
+    return Support(labels, rows[:n], rows[-1] if len(rows) > n else None)
 
 
 def query_maps(
@@ -121,6 +120,9 @@ def _maps(memo: dict, support: Support, q: FeatureMap, cfg: PromptConfig):
     equal the first rows of the on ones. The cosines are elementwise with
     per-row norms, so equal rows give equal bytes; both products still run,
     since a P-row product need not equal the first P rows of a longer one.
+    The epilogue keeps one float64 P x HW buffer: the cosines, rounded to
+    float32 in it, then their squared deviations (see
+    :func:`~maup.simmaps.stack_moments`).
     """
     if q.channels != support.protos.shape[1]:
         raise ShapeError("support and query features disagree on channel count")
@@ -133,12 +135,12 @@ def _maps(memo: dict, support: Support, q: FeatureMap, cfg: PromptConfig):
         on_protos, on_scores, mean, uncert = memo.pop(("sibling", cfg.n_regions))  # one product per n_f alive
         if np.array_equal(protos, on_protos[:n]) and np.array_equal(scores, on_scores[:n]):
             return mean, uncert, None
-    cosines = cosine_rows(scores, protos, pix_norm).reshape(-1, q.height, q.width)
-    mean = mean_map(cosines[:n])
-    uncert = uncertainty_map(cosines[:n], mean)
+    cosines = rounded_cosines(scores, protos, pix_norm).reshape(-1, q.height, q.width)
+    neg_map = ScalarMap(cosines[-1]) if with_neg else None  # a float32 copy, not a view pinning the rows
+    mean, uncert = stack_moments(cosines[:n])
     if cfg.np:
         memo[("sibling", cfg.n_regions)] = (protos, scores, mean, uncert)
-    return mean, uncert, ScalarMap(cosines[-1].copy()) if with_neg else None  # not a view pinning the rows
+    return mean, uncert, neg_map
 
 
 def execute_episode(
@@ -247,10 +249,13 @@ def ablation_run(
     """Sweep toggle rows (and optionally region counts) over phantom families.
 
     Every (family, toggle, n_f, seed) cell is one episode scored with the
-    surrogate segmenter. The cells of one (family, seed) share one memo, so
-    each value is computed once for the cells it serves (see :func:`_episode`);
-    the memo's "components" key holds the query's thresholded components, and
-    each cell's mask is those holding a positive and no negative.
+    surrogate segmenter. Each value is computed once, at the level where it
+    varies: a seed's phantom draws (by size and channel count) and its cell
+    configs serve every family, and the cells of one (family, seed) share
+    one memo (see :func:`_episode`). That memo's "components" key holds the
+    query's thresholded components and "table" their pixel and ground-truth
+    counts; a cell's Dice sums the counts of the components holding a
+    positive and no negative.
     Failed cells keep their row with an empty dice and a failure note. Rows
     come back sorted by family name, toggles, n_f and seed.
     """
@@ -264,27 +269,41 @@ def ablation_run(
         raise ConfigError(f"threshold must be finite, got {threshold}")
     base = base_config if base_config is not None else PromptConfig(scale=1)
     nfs = list(nf_values) if nf_values else [base.n_regions]
+    n_seeds = max(nfs)  # only n_f >= 1 is valid: this is the largest valid n_f
     toggles = sorted(toggles, key=lambda t: not t[2])  # negative path on first: off rows reuse its support
 
     rows = []
-    for fam, seed in product(families, seeds):
-        spec, memo = replace(fam, seed=seed), {}
-        for nf, (mmp, ump, np_) in product(nfs, toggles):
-            key = (fam.family, mmp, ump, np_, nf, seed)
-            try:  # a config error wins over a phantom error
-                cfg = replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1)
-                ph = _once(memo, "phantom", generate_phantom, spec)
-                # only n_f >= 1 is valid: max(nfs) is the largest valid n_f
-                res = _episode(memo, ph.support_features, ph.support_mask, ph.query_features, cfg, max(nfs))
-                h, w = ph.query_features.height, ph.query_features.width
-                prompts = build_export(res.prompts, res.n_regions, h, w)
-                labels = _once(memo, "components", label_components, ph.query_intensity, threshold)
-                d = dice(component_mask(prompts, labels), ph.query_gt)
-                rows.append(AblationRow(*key, d, "ok"))
-            except MaupError as e:
-                rows.append(AblationRow(*key, None, f"failed: {e}"))
+    for seed in seeds:
+        draws, cfgs = {}, {}  # one seed's phantom draws and cell configs, shared by the families
+        for fam in families:
+            spec, memo = replace(fam, seed=seed), {}
+            for nf, toggle in product(nfs, toggles):
+                key = (fam.family, *toggle, nf, seed)
+                try:  # a config error wins over a phantom error
+                    cfg = _once(cfgs, (nf, toggle), _cell_config, base, toggle, nf, seed)
+                    ph = _once(memo, "phantom", _phantom, draws, spec)
+                    res = _episode(memo, ph.support_features, ph.support_mask, ph.query_features, cfg, n_seeds)
+                    h, w = ph.query_features.height, ph.query_features.width
+                    prompts = build_export(res.prompts, res.n_regions, h, w)
+                    labels = _once(memo, "components", label_components, ph.query_intensity, threshold)
+                    keep = kept_components(prompts, labels)
+                    d = table_dice(keep, _once(memo, "table", component_table, labels, ph.query_gt))
+                    rows.append(AblationRow(*key, d, "ok"))
+                except MaupError as e:
+                    rows.append(AblationRow(*key, None, f"failed: {e}"))
     rows.sort(key=AblationRow.sort_key)
     return AblationReport(rows=tuple(rows))
+
+
+def _cell_config(base: PromptConfig, toggle: tuple[bool, bool, bool], nf: int, seed: int) -> PromptConfig:
+    mmp, ump, np_ = toggle
+    return replace(base, mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=seed, scale=1)
+
+
+def _phantom(draws: dict, spec: PhantomSpec) -> Phantom:
+    """The phantom of ``spec``, painted from its seed's draws, which ``draws`` holds by size and channels."""
+    d = _once(draws, (spec.size, spec.channels), phantom_draws, spec.seed, spec.size, spec.channels)
+    return paint_phantom(spec, d)
 
 
 def save_phantom(spec: PhantomSpec, out_dir) -> dict[str, Path]:

@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ClusterError, ConfigError, EmptyCandidateError, MaupError, OverlapError, ShapeError
-from .regions import area_and_perimeter
 from .simmaps import candidate_mask, percentile_threshold
-from .tensors import BitMask, ScalarMap
+from .tensors import ScalarMap
 
 MEAN_TAG = "mean-centroid"
 UNCERTAINTY_TAG = "uncertainty"
@@ -158,15 +157,21 @@ def complexity(hot: np.ndarray) -> float:
     edge budget 2*(H+W), so c stays resolution-independent and lands near
     [0, 2] for blob-like regions.
     """
-    if not hot.any():
+    area = int(np.count_nonzero(hot))
+    if not area:
         raise EmptyCandidateError("no pixel reaches the mean threshold")
-    area, perimeter = area_and_perimeter(BitMask(hot.astype(np.uint8)))
+    pairs = np.count_nonzero(hot[:, 1:] & hot[:, :-1]) + np.count_nonzero(hot[1:] & hot[:-1])
+    perimeter = 4 * area - 2 * int(pairs)  # as area_and_perimeter counts exposed 4-neighbour edges
     return area / hot.size + perimeter / (2 * sum(hot.shape))
 
 
 def adaptive_k(c: float, cfg: PromptConfig) -> int:
-    """Cluster count floor(cfg.gamma * c), clamped to [cfg.n_min, cfg.n_max] before it is an int."""
-    return int(np.clip(np.floor(cfg.gamma * c), cfg.n_min, cfg.n_max))
+    """Cluster count floor(cfg.gamma * c), clamped to [cfg.n_min, cfg.n_max] before it is an int.
+
+    The bounds are integers, so flooring after the clamp gives the same k;
+    they are compared as floats, as ``np.clip`` compares them.
+    """
+    return math.floor(min(max(cfg.gamma * c, float(cfg.n_min)), float(cfg.n_max)))
 
 
 def _kmeans_pp_init(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -269,6 +274,12 @@ def kmeans(points: np.ndarray, k: int, seed) -> np.ndarray:
     return pts[list(dict.fromkeys(nearest.tolist()))]
 
 
+def _generator(seed) -> tuple[np.random.Generator, dict]:
+    """A generator from ``seed`` and its starting state."""
+    rng = np.random.default_rng(seed)
+    return rng, rng.bit_generator.state
+
+
 def _kmeans_and_state(points: np.ndarray, k: int, rng: np.random.Generator):
     """:func:`kmeans` drawing from ``rng``, and the state it leaves ``rng`` in."""
     return kmeans(points, k, rng), rng.bit_generator.state
@@ -292,19 +303,23 @@ def positive_prompts(
 
 
 def _positives(memo: dict, mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig, seed) -> PromptSet:
-    """:func:`positive_prompts` with the mean path's K-means looked up in ``memo``.
+    """:func:`positive_prompts` with the mean path's K-means and the uncertainty threshold looked up in ``memo``.
 
-    Memo key ("kmeans", "mean", candidate bytes, k). The entry holds the
-    generator's state after the first run, and every lookup sets it back, so
-    the uncertainty picks draw as they would after a run of their own: the
-    mean path is the first consumer of a fresh generator, and one memo
-    serves one ``seed``.
+    Memo keys "generator" (one generator, reset to its starting state by
+    every call), ("kmeans", "mean", candidate bytes, k) and ("hot",
+    "uncertainty", uncertainty map bytes), which holds the threshold and the
+    candidate mask. The K-means entry holds the generator's state after the
+    first run, and every lookup sets it back, so the uncertainty picks draw
+    as they would after a run of their own: the mean path is the first
+    consumer of a fresh generator, and one memo serves one ``seed`` and
+    ``cfg.percentile``.
     """
     if not (cfg.mmp or cfg.ump):
         raise ConfigError("at least one positive path (mmp or ump) must be enabled")
     if mean.values.shape != uncert.values.shape:
         raise ShapeError("mean and uncertainty maps differ in shape")
-    rng = np.random.default_rng(seed)
+    rng, fresh = _once(memo, "generator", _generator, seed)
+    rng.bit_generator.state = fresh  # building a generator from a seed stream costs more than a reset
     mean_pts = uncert_pts = np.empty((0, 2), dtype=np.int64)
     k, tau_mean, tau_uncert = 0, None, None
 
@@ -316,7 +331,8 @@ def _positives(memo: dict, mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig
         mean_pts, rng.bit_generator.state = _once(memo, key, _kmeans_and_state, cands, k, rng)
 
     if cfg.ump:
-        tau_uncert, hot = _thresholded(uncert, cfg.percentile, "uncertainty")
+        key = ("hot", "uncertainty", uncert.values.tobytes())
+        tau_uncert, hot = _once(memo, key, _thresholded, uncert, cfg.percentile, "uncertainty")
         hot = hot.ravel()
         cands = np.flatnonzero(hot)  # flat indices, row-major
         taken = (mean_pts[:, 0] * uncert.width + mean_pts[:, 1]).tolist()
@@ -358,13 +374,14 @@ def negative_prompts(
 def _negatives(memo: dict, neg_map: ScalarMap, positives, n_neg: int, seed, percentile: float):
     """:func:`negative_prompts` with its threshold, candidates and K-means looked up in ``memo``.
 
-    Memo keys ("hot", periphery map bytes), which holds the threshold and the
-    candidate mask, and ("kmeans", "negative", surviving candidate bytes).
+    Memo keys ("hot", "negative", periphery map bytes), which holds the
+    threshold and the candidate mask, and ("kmeans", "negative", surviving
+    candidate bytes).
     One memo serves one ``seed``, ``n_neg`` and ``percentile``.
     """
     if n_neg < 1:
         raise ConfigError(f"need n_neg >= 1, got {n_neg}")
-    key = ("hot", neg_map.values.tobytes())
+    key = ("hot", "negative", neg_map.values.tobytes())
     tau_neg, hot = _once(memo, key, _thresholded, neg_map, percentile, "negative")
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
     pos = pos[((pos >= 0) & (pos < hot.shape)).all(axis=1)]  # only in-frame points collide
@@ -407,10 +424,12 @@ def select_prompts(ps: PromptSet, neg_map: ScalarMap | None, cfg: PromptConfig, 
 
 def _select(memo: dict, ps: PromptSet, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
     """:func:`select_prompts` with the negatives' stages looked up in ``memo`` (see :func:`_negatives`)."""
+    if not cfg.np:
+        return ps  # positive_prompts' set: no negatives, no tau_neg, no flags
     neg_pts, tau_neg, flags = np.empty((0, 2), dtype=np.int64), None, ()
-    if cfg.np and neg_map is None:
+    if neg_map is None:
         flags = ("np-disabled-empty-periphery",)
-    elif cfg.np:
+    else:
         neg_pts, tau_neg = _negatives(memo, neg_map, ps.positives, cfg.n_neg, neg_seed, cfg.percentile)
         if not len(neg_pts):
             flags = ("np-exhausted-by-positives",)

@@ -83,7 +83,17 @@ def voronoi_partition(fg: BitMask, seeds) -> np.ndarray:
     ``seeds`` is an n x 2 (row, col) integer array or a list of pairs. Returns
     an H x W int64 label map holding -1 off the foreground. Ties go to the
     seed with the lowest index. Every seed claims at least itself, so every
-    label in [0, len(seeds)) occurs.
+    label in [0, len(seeds)) occurs. The steps are :func:`seed_distances`
+    and :func:`voronoi_labels`.
+    """
+    return voronoi_labels(fg, seed_distances(fg, seeds))
+
+
+def seed_distances(fg: BitMask, seeds) -> np.ndarray:
+    """n x N int64 squared distances from n distinct foreground seeds to the N foreground pixels.
+
+    Pixels come in row-major order. Row i depends on seed i alone, so the
+    first m rows are the distances of the first m seeds.
     """
     seed_arr = np.asarray(seeds, dtype=np.int64)
     pairs = seed_arr.tolist()
@@ -94,11 +104,19 @@ def voronoi_partition(fg: BitMask, seeds) -> np.ndarray:
     for r, c in pairs:
         if not (0 <= r < fg.height and 0 <= c < fg.width) or fg.bits[r, c] != 1:
             raise SeedError(f"seed ({r}, {c}) lies outside the foreground")
-    inside = fg.bits == 1
-    coords = np.argwhere(inside)
-    d2 = ((coords[None, :, :] - seed_arr[:, None, :]) ** 2).sum(axis=2)
+    rows, cols = np.nonzero(fg.bits)
+    dr = rows - seed_arr[:, :1]
+    dc = cols - seed_arr[:, 1:]
+    dr *= dr
+    dc *= dc
+    dr += dc
+    return dr
+
+
+def voronoi_labels(fg: BitMask, d2: np.ndarray) -> np.ndarray:
+    """The label map of :func:`voronoi_partition` from :func:`seed_distances`' rows."""
     labels = np.full(fg.bits.shape, -1, dtype=np.int64)
-    labels[inside] = np.argmin(d2, axis=0)  # first min = lowest seed index
+    labels[fg.bits == 1] = d2.argmin(axis=0)  # first min = lowest seed index
     return labels
 
 

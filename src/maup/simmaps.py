@@ -50,6 +50,17 @@ def cosine_rows(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) ->
     Elementwise with per-row norms, so equal score rows give equal cosine
     rows whatever the other rows are. ``scores`` is read, never written.
     """
+    return _clipped_cosines(scores, protos, pix_norm).astype(np.float32)
+
+
+def rounded_cosines(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) -> np.ndarray:
+    """:func:`cosine_rows`' values held in float64: one P x HW buffer and no float32 copy."""
+    sims = _clipped_cosines(scores, protos, pix_norm)
+    np.positive(sims, out=sims, dtype=np.float32, casting="same_kind")  # rounds in place, no float32 copy
+    return sims
+
+
+def _clipped_cosines(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(np.asarray(protos, dtype=np.float64), axis=1)
     sims = norms[:, None] * pix_norm  # the denominators, divided in place
     lo = norms.min(initial=np.inf) * pix_norm.min(initial=np.inf)
@@ -62,7 +73,7 @@ def cosine_rows(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) ->
             np.divide(scores, sims, out=sims, where=nonzero)
         sims[~nonzero] = 0.0
     np.clip(sims, -1.0, 1.0, out=sims)
-    return sims.astype(np.float32)
+    return sims
 
 
 def cosine_map(f_q: FeatureMap, p: np.ndarray) -> ScalarMap:
@@ -83,8 +94,17 @@ def uncertainty_map(stack: np.ndarray, mean: ScalarMap) -> ScalarMap:
         raise EmptyStackError("cannot take variance of an empty similarity stack")
     if stack.shape[1:] != mean.values.shape:
         raise ShapeError("mean map shape does not match the stack")
-    diff = stack.astype(np.float64)  # the one float64 copy; the float32 mean upcasts exactly
-    diff -= mean.values
+    return _variance(stack.astype(np.float64), mean)  # the one float64 copy
+
+
+def stack_moments(stack: np.ndarray) -> tuple[ScalarMap, ScalarMap]:
+    """:func:`mean_map` and :func:`uncertainty_map` of a float64 stack, overwriting it with squared deviations."""
+    mean = mean_map(stack)
+    return mean, _variance(stack, mean)
+
+
+def _variance(diff: np.ndarray, mean: ScalarMap) -> ScalarMap:
+    diff -= mean.values  # the float32 mean upcasts exactly
     diff *= diff
     return ScalarMap(diff.mean(axis=0))
 

@@ -69,15 +69,44 @@ def component_mask(prompts: PromptSet, labels: np.ndarray) -> BitMask:
     ``labels`` is :func:`label_components`' map. The first out-of-frame
     positive, else the first out-of-frame negative, raises a ShapeError.
     """
+    return BitMask(kept_components(prompts, labels).view(np.uint8)[labels])
+
+
+def kept_components(prompts: PromptSet, labels: np.ndarray) -> np.ndarray:
+    """:func:`component_mask` per label: True for a component with a positive and no negative.
+
+    Label 0, the pixels below the threshold, is never kept.
+    """
     h, w = labels.shape
     off = _off_frame(prompts, h, w)
     if off is not None:
         raise ShapeError(f"prompt (x={off[0]}, y={off[1]}) is out of bounds for a {h}x{w} map")
-    keep = np.zeros(labels.max() + 1, dtype=np.uint8)
-    keep[labels[tuple(prompts.positives.T)]] = 1
-    keep[labels[tuple(prompts.negatives.T)]] = 0
-    keep[0] = 0
-    return BitMask(keep[labels])
+    keep = np.zeros(labels.max() + 1, dtype=bool)
+    keep[labels[tuple(prompts.positives.T)]] = True
+    keep[labels[tuple(prompts.negatives.T)]] = False
+    keep[0] = False
+    return keep
+
+
+def component_table(labels: np.ndarray, gt: BitMask) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per label of a component map, its pixel count and its ground-truth pixels; and the truth's size."""
+    if labels.shape != gt.bits.shape:
+        raise ShapeError("dice operands differ in shape")
+    flat = labels.ravel()
+    n = int(flat.max()) + 1
+    return np.bincount(flat, minlength=n), np.bincount(flat[gt.bits.ravel() == 1], minlength=n), gt.foreground_count
+
+
+def table_dice(keep: np.ndarray, table: tuple[np.ndarray, np.ndarray, int]) -> float:
+    """``dice`` of the kept components' mask against the truth of :func:`component_table`.
+
+    The counts are the integers ``dice`` sums, so the float is the same.
+    """
+    pixels, overlap, truth = table
+    a = int(pixels[keep].sum())
+    if a == 0 and truth == 0:
+        return 1.0
+    return 2.0 * int(overlap[keep].sum()) / (a + truth)
 
 
 def _flood(open_: bytearray, stride: int, seeds: list[int]) -> list[int]:

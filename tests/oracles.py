@@ -286,3 +286,62 @@ def surrogate_reference(export, above):
                 raise ShapeError(f"prompt (x={pt['x']}, y={pt['y']}) is out of bounds for a {h}x{w} map")
             points.append((row, col))
     return flood_oracle(above, grid["positives"], grid["negatives"])
+
+
+def generate_phantom_reference(spec):
+    """``generate_phantom`` as first written: every draw inline, in one generator, per spec.
+
+    Reuses maup's scene geometry and painting; only the draws are its own.
+    """
+    import numpy as np
+
+    from maup.phantom import _BAND_RADIUS, _FEATURE_NORM, Phantom, _orthonormal_triple, _scene_masks
+    from maup.regions import StructuringElement, periphery_mask
+    from maup.tensors import BitMask, FeatureMap, ScalarMap
+
+    rng = np.random.default_rng(spec.seed)
+    size = spec.size
+    q = _orthonormal_triple(rng, spec.channels)
+    theta = spec.contrast * math.pi / 2.0
+    basis = (
+        _FEATURE_NORM * q[:, 0],
+        _FEATURE_NORM * (math.cos(theta) * q[:, 0] + math.sin(theta) * q[:, 1]),
+        _FEATURE_NORM * q[:, 2],
+    )
+    cy = size / 2.0 + rng.uniform(-size / 16.0, size / 16.0)
+    cx = size / 2.0 + rng.uniform(-size / 16.0, size / 16.0)
+    base = 0.16 * size if spec.family == "two-lobe" else 0.2 * size
+    radius = base * rng.uniform(0.85, 1.15)
+    lobe_dx = 0.21 * size
+    shift_y, shift_x = (int(v) for v in rng.integers(-size // 10, size // 10 + 1, size=2))
+    scale = rng.uniform(0.9, 1.1)
+    s_organ, s_decoy = _scene_masks(spec, cy, cx, radius, lobe_dx)
+    q_organ, q_decoy = _scene_masks(spec, cy + shift_y, cx + shift_x, radius * scale, lobe_dx * scale)
+    support_mask, query_gt = BitMask(s_organ.astype(np.uint8)), BitMask(q_organ.astype(np.uint8))
+    se = StructuringElement.disk(_BAND_RADIUS)
+
+    def paint(organ, decoy, band):
+        canvas = np.empty((spec.channels, size, size), dtype=np.float64)
+        canvas[:] = basis[2][:, None, None]
+        canvas[:, band] = basis[1][:, None]
+        canvas[:, decoy] = basis[1][:, None]
+        canvas[:, organ] = basis[0][:, None]
+        if spec.noise > 0.0:
+            canvas = canvas + spec.noise * rng.standard_normal(canvas.shape)
+        return FeatureMap(canvas.astype(np.float32))
+
+    support = paint(s_organ, s_decoy, periphery_mask(support_mask, se).bits == 1)
+    query = paint(q_organ, q_decoy, periphery_mask(query_gt, se).bits == 1)
+    return Phantom(support, support_mask, query, query_gt, ScalarMap((q_organ | q_decoy).astype(np.float32)))
+
+
+def flood_dice_oracle(above, positives, negatives, gt):
+    """Dice of :func:`flood_oracle`'s mask against ``gt``, counted pixel by pixel."""
+    pred = flood_oracle(above, positives, negatives)
+    a = b = inter = 0
+    for y, row in enumerate(pred):
+        for x, p in enumerate(row):
+            a += bool(p)
+            b += bool(gt[y][x])
+            inter += bool(p) and bool(gt[y][x])
+    return 1.0 if a == 0 and b == 0 else 2.0 * inter / (a + b)

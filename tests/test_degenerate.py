@@ -134,17 +134,17 @@ class TestDegenerateSweeps:
         support_f, support_m, query_f, query_gt = episode
         intensity = ScalarMap(query_gt.bits.astype(np.float32))
 
-        def phantom(spec):
+        def phantom(spec, draws):
             return Phantom(support_f, support_m, query_f, query_gt, intensity)
 
         spec = PhantomSpec(family="disk")
-        original = pl.generate_phantom
-        pl.generate_phantom = phantom  # the sweep's phantoms are these tensors, at every seed
+        original = pl.paint_phantom
+        pl.paint_phantom = phantom  # the sweep's phantoms are these tensors, at every seed
         try:
             report = outcome(ablation_run, [spec], TOGGLES, nfs, seeds)
             again = outcome(ablation_run, [spec], TOGGLES, nfs, seeds)
         finally:
-            pl.generate_phantom = original
+            pl.paint_phantom = original
         assert not isinstance(report, MaupError), report  # every cell's failure stays in its row
         assert report.rows == again.rows
 

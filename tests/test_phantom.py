@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from maup.errors import SpecError
-from maup.phantom import FAMILIES, PhantomSpec, generate_phantom
+from maup.phantom import FAMILIES, PhantomSpec, generate_phantom, paint_phantom, phantom_draws
 from maup.prototypes import regional_prototypes
 from maup.simmaps import cosine_map
+
+from oracles import generate_phantom_reference
 
 
 class TestSpecValidation:
@@ -106,3 +110,55 @@ class TestFamilyGeometry:
         organ_proto = regional_prototypes(ph.support_features, ph.support_mask.bits.astype(np.int64) - 1)[0]
         sims = cosine_map(ph.query_features, organ_proto).values
         assert sims[gt].min() > sims[decoy].max()
+
+
+def phantom_arrays(ph):
+    return [ph.support_features.data, ph.support_mask.bits, ph.query_features.data, ph.query_gt.bits,
+            ph.query_intensity.values]
+
+
+def same_phantom(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(phantom_arrays(a), phantom_arrays(b)))
+
+
+class TestSharedDraws:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([16, 23, 32]),
+        channels=st.sampled_from([3, 5, 16]),
+        specs=st.lists(
+            st.tuples(st.sampled_from(FAMILIES), st.sampled_from([0.0, 0.1, 0.7]), st.sampled_from([1.0, 0.4])),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_every_family_painted_from_one_draw_equals_its_own_phantom(self, seed, size, channels, specs):
+        # one seed's draws serve families, noise levels and contrasts in any order; a
+        # noise-free spec before a noisy one leaves the noise fields undrawn until needed
+        draws = phantom_draws(seed, size, channels)
+        for family, noise, contrast in specs:
+            spec = PhantomSpec(family, size=size, channels=channels, contrast=contrast, noise=noise, seed=seed)
+            try:
+                want = generate_phantom_reference(spec)
+            except SpecError:
+                with pytest.raises(SpecError):
+                    paint_phantom(spec, draws)
+                continue
+            assert same_phantom(paint_phantom(spec, draws), want)
+            assert same_phantom(generate_phantom(spec), want)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_channels_past_one_paint_block_equal_the_reference(self, family, noise):
+        # a 32 x 32 scene is painted 64 channels at a time: 150 channels end in a partial block
+        spec = PhantomSpec(family, size=32, channels=150, contrast=0.5, noise=noise, seed=9)
+        assert same_phantom(generate_phantom(spec), generate_phantom_reference(spec))
+
+    def test_noise_fields_are_drawn_once_and_only_when_needed(self):
+        draws = phantom_draws(4, 16, 3)
+        paint_phantom(PhantomSpec("disk", size=16, channels=3, seed=4), draws)
+        assert "noise" not in vars(draws)
+        first = paint_phantom(PhantomSpec("annulus", size=16, channels=3, noise=0.2, seed=4), draws)
+        fields = draws.noise
+        again = paint_phantom(PhantomSpec("annulus", size=16, channels=3, noise=0.2, seed=4), draws)
+        assert draws.noise is fields and same_phantom(first, again)

@@ -15,6 +15,7 @@ import maup.cli as cli
 import maup.pipeline as pl
 import maup.prompting as mp
 import maup.prototypes as pp
+import maup.regions as rg
 import maup.simmaps as sm
 from maup.cli import _cmd_run, build_parser, main
 from maup.errors import ConfigError, EmptyMaskError, FormatError, MaupError, ShapeError, SpecError
@@ -35,10 +36,17 @@ from maup.pipeline import (
 )
 from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, generate_prompts, to_image_xy
 from maup.simmaps import candidate_mask
-from maup.surrogate import component_mask, label_components
+from maup.surrogate import component_mask, component_table, kept_components, label_components, table_dice
 from maup.tensors import BitMask, FeatureMap, ScalarMap, save_tensor
 
-from oracles import build_export_reference, flood_oracle, surrogate_reference, to_image_xy_reference
+from oracles import (
+    build_export_reference,
+    flood_dice_oracle,
+    flood_oracle,
+    generate_phantom_reference,
+    surrogate_reference,
+    to_image_xy_reference,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "prompts_disk_seed7.json"
 # a ViT-patch-scale episode (37x37 grid, 1024 channels) at nf=60, negative path on / off
@@ -68,7 +76,7 @@ def reference_episode(support_features, support_mask, query_features, cfg):
         raise EmptyMaskError("RPG: empty foreground")
     fps_seed, _, _ = mp.episode_seed_streams(cfg.seed)
     seeds = pl.farthest_point_seeds(support_mask, min(cfg.n_regions, fg), fps_seed)
-    partition = pl.voronoi_partition(support_mask, seeds)
+    partition = rg.voronoi_partition(support_mask, seeds)  # pipeline calls its two steps
     protos = pl.regional_prototypes(support_features, partition)
     if cfg.np:
         band = pl.periphery_mask(support_mask, pl.StructuringElement.disk(cfg.radius))
@@ -166,6 +174,12 @@ def serpentine(n):
     above[1::4, -1] = True
     above[3::4, 0] = True
     return above
+
+
+def phantom_bytes(ph):
+    arrays = (ph.support_features.data, ph.support_mask.bits, ph.query_features.data, ph.query_gt.bits,
+              ph.query_intensity.values)
+    return [a.tobytes() for a in arrays]
 
 
 def disk_intensity(h, w, cy, cx, r, value=1.0):
@@ -626,6 +640,29 @@ class TestComponentLabels:
         mask = component_mask(export_with(pos, neg), labels)
         assert np.array_equal(mask.bits, np.array(flood_oracle(above, pos, neg), dtype=np.uint8))
 
+    @settings(deadline=None, max_examples=300)
+    @given(case=fill_cases(), data=st.data())
+    @example(case=(np.zeros((1, 1), bool), [], []), data=None)  # both masks empty: dice 1.0
+    @example(case=(np.array([[1, 1, 0, 1, 1]], bool), [(0, 2), (0, 0)], [(0, 1)]), data=None)
+    @example(case=(np.array([[1], [0], [1], [1]], bool), [(1, 0), (2, 0)], []), data=None)
+    @example(case=(np.array([[1, 1], [0, 1]], bool), [(1, 0)], []), data=None)  # positive on background
+    def test_table_dice_equals_the_mask_dice(self, case, data):
+        # positives on background, a negative in a positive's component, empty prompt
+        # sets, and 1xW and Hx1 frames; the sweep scores every cell from one table
+        above, pos, neg = case
+        gt = above if data is None else data.draw(arrays(np.bool_, above.shape))
+        truth = BitMask(gt.astype(np.uint8))
+        labels = label_components(ScalarMap(above.astype(np.float32)), 0.5)
+        export = export_with(pos, neg)
+        got = table_dice(kept_components(export, labels), component_table(labels, truth))
+        want = dice(component_mask(export, labels), truth)
+        assert type(got) is float and got == want == flood_dice_oracle(above, pos, neg, gt)
+
+    def test_table_of_a_misaligned_truth_fails_as_dice_does(self):
+        labels = label_components(ScalarMap(np.ones((2, 3), np.float32)), 0.5)
+        got = shape_error_or(lambda: component_table(labels, BitMask(np.ones((3, 2), np.uint8))))
+        assert got == (ShapeError, "dice operands differ in shape")
+
     @pytest.mark.parametrize(
         "pos, neg, named",
         [
@@ -758,25 +795,30 @@ class TestAblation:
 
     # counted stages of one sweep call, in the order of its expected counts
     SHARED_STAGES = [
+        "phantom_draws",  # one seed's random draws, shared by the families of one size and channel count
+        "paint_phantom",  # one phantom per (family, seed)
         "episode_seed_streams",  # one per (family, seed)
         "farthest_point_seeds",  # one seeding per (family, seed), a prefix per n_f
         "periphery_mask",  # one band per (family, seed), none without the negative path
-        "voronoi_partition",  # one support per (family, n_f, seed)
+        "seed_distances",  # one seed-to-foreground distance matrix per (family, seed)
+        "voronoi_labels",  # one support per (family, n_f, seed), from a prefix of the distance rows
         "regional_prototypes",
         "query_side",  # one float64 query and its pixel norms per (family, seed)
         "similarity_scores",  # one product per row set: negative path off, on
-        "cosine_rows",  # one epilogue per row set, less the off row sets that take their sibling's maps
+        "rounded_cosines",  # one epilogue per row set, less the off row sets that take their sibling's maps
         "label_components",  # one component labelling per (family, seed)
+        "component_table",  # one table of component and ground-truth pixel counts per (family, seed)
         "_positives",  # positive_prompts, one per distinct (maps, mmp, ump)
         "_select",  # select_prompts, per cell
     ]
+    EPILOGUES = SHARED_STAGES.index("rounded_cosines")
     NFS = [1, 5, 15, 30, 60]
 
     def shared_work(self, monkeypatch, tmp_path, toggles):
         """Stage calls of one sweep call over every family and five n_f; its CSV must equal the reference.
 
         The counts come in SHARED_STAGES order, then K-means calls on the mean
-        path and on the negative path.
+        path and on the negative path, then uncertainty thresholds.
         """
         counts = dict.fromkeys(self.SHARED_STAGES, 0)
 
@@ -799,11 +841,18 @@ class TestAblation:
             return real_kmeans(points, k, seed)
 
         monkeypatch.setattr(mp, "kmeans", kmeans_by_role)
+        real_thresholded, thresholds = mp._thresholded, Counter()
+
+        def thresholded_by_role(map_, percentile, tag):
+            thresholds[tag] += 1
+            return real_thresholded(map_, percentile, tag)
+
+        monkeypatch.setattr(mp, "_thresholded", thresholded_by_role)
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
         args = (families, toggles, self.NFS, [0])
         report = ablation_run(*args)
         assert len(report.rows) == 20 * len(toggles) and all(r.status == "ok" for r in report.rows)
-        got = tuple(counts.values()) + (roles["mean"], roles["negative"])
+        got = tuple(counts.values()) + (roles["mean"], roles["negative"], thresholds["uncertainty"])
         report.write_csv(tmp_path / "got.csv")
         reference_ablation(*args).write_csv(tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -828,14 +877,15 @@ class TestAblation:
         return out
 
     def distinct_clusterings(self, toggles):
-        """(mean, negative): distinct K-means inputs over the sweep's cells, each run as its own episode.
+        """(mean, negative, uncertainty): distinct K-means and uncertainty-threshold inputs over the
+        sweep's cells, each run as its own episode.
 
         A sweep runs K-means once per distinct (candidate points, k) of a role
-        within a (family, seed). Which candidate sets repeat across n_f depends
-        on the maps, and so on the BLAS kernel, so the counts are derived, not
-        assumed.
+        within a (family, seed), and thresholds each distinct uncertainty map
+        once. Which candidate sets and maps repeat across n_f depends on the
+        maps, and so on the BLAS kernel, so the counts are derived, not assumed.
         """
-        inputs = set()
+        inputs, uncertainty = set(), set()
         real_kmeans = mp.kmeans
 
         def recorded(points, k, seed):
@@ -848,33 +898,38 @@ class TestAblation:
                 ph = generate_phantom(PhantomSpec(family=family, contrast=0.4, noise=0.1, seed=0))
                 for (mmp, ump, np_), nf in itertools.product(toggles, self.NFS):
                     cfg = PromptConfig(mmp=mmp, ump=ump, np=np_, n_regions=nf, seed=0, scale=1)
-                    execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
+                    res = execute_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
+                    if ump:
+                        uncertainty.add((family, res.uncertainty.values.tobytes()))
         roles = Counter(role for _, role, _, _ in inputs)
-        return roles["mean"], roles["negative"]
+        return roles["mean"], roles["negative"], len(uncertainty)
 
     def test_shared_work_per_sweep_call(self, monkeypatch, tmp_path):
         # positives: ump and mmp+ump; mmp+ump+np shares the mmp+ump ones, its maps being equal.
         # Epilogues: 20 on row sets, and an off row set only where its product is not the
         # on product's regional rows (at n_f 1 in every family with this numpy and BLAS).
-        # K-means: once per distinct candidate set and role in each family
+        # K-means: once per distinct candidate set and role in each family; the uncertainty
+        # threshold once per distinct uncertainty map, which ump and mmp+ump rows share
         unequal = len(self.unequal_siblings())
         clusterings = self.distinct_clusterings(SWEEP_TOGGLES)
         assert 0 < clusterings[0] < 40 and 0 < clusterings[1] < 20  # fewer than one per cell that clusters
-        want = (4, 4, 4, 20, 20, 4, 40, 20 + unequal, 4, 40, 60) + clusterings
+        assert 0 < clusterings[2] <= 20  # at most one per (family, n_f), not one per positive selection
+        want = (1, 4, 4, 4, 4, 4, 20, 20, 4, 40, 20 + unequal, 4, 4, 40, 60) + clusterings
         assert self.shared_work(monkeypatch, tmp_path, SWEEP_TOGGLES) == want
 
     @pytest.mark.parametrize(
         "toggles, want",
         [
-            (SWEEP_TOGGLES[::-1], (4, 4, 4, 20, 20, 4, 40, None, 4, 40, 60)),  # None: 20 + unequal siblings
-            ([(True, True, True)], (4, 4, 4, 20, 20, 4, 20, 20, 4, 20, 20)),
-            (SWEEP_TOGGLES[:2], (4, 4, 0, 20, 20, 4, 20, 20, 4, 40, 40)),
+            (SWEEP_TOGGLES[::-1], (1, 4, 4, 4, 4, 4, 20, 20, 4, 40, None, 4, 4, 40, 60)),  # None: 20 + unequal
+            ([(True, True, True)], (1, 4, 4, 4, 4, 4, 20, 20, 4, 20, 20, 4, 4, 20, 20)),
+            (SWEEP_TOGGLES[:2], (1, 4, 4, 4, 0, 4, 20, 20, 4, 20, 20, 4, 4, 40, 40)),
         ],
         ids=["reversed", "all-on", "np-off-rows"],
     )
     def test_shared_work_in_any_toggle_order_or_subset(self, monkeypatch, tmp_path, toggles, want):
-        epilogues = want[7] if want[7] is not None else 20 + len(self.unequal_siblings())
-        want = want[:7] + (epilogues,) + want[8:] + self.distinct_clusterings(toggles)
+        i = self.EPILOGUES
+        epilogues = want[i] if want[i] is not None else 20 + len(self.unequal_siblings())
+        want = want[:i] + (epilogues,) + want[i + 1 :] + self.distinct_clusterings(toggles)
         assert self.shared_work(monkeypatch, tmp_path, toggles) == want
 
     def test_unequal_maps_select_positives_per_row_set(self, monkeypatch, tmp_path):
@@ -883,7 +938,7 @@ class TestAblation:
         # pixel (0, 0): the off product no longer equals them, so the off row set
         # runs its own epilogue and, its maps differing, selects its own mmp+ump
         # positives, while the other groups still share theirs
-        real_scores, real_cosines, real_positives = sm.similarity_scores, pl.cosine_rows, pl._positives
+        real_scores, real_cosines, real_positives = sm.similarity_scores, pl.rounded_cosines, pl._positives
         epilogues, calls = [], []
 
         def nudged(protos, feats):
@@ -902,7 +957,7 @@ class TestAblation:
 
         for module in (pl, sm):  # the reference reaches the product through maup.simmaps
             monkeypatch.setattr(module, "similarity_scores", nudged)
-        monkeypatch.setattr(pl, "cosine_rows", counted_cosines)
+        monkeypatch.setattr(pl, "rounded_cosines", counted_cosines)
         monkeypatch.setattr(pl, "_positives", counted)  # positive_prompts with the sweep's memo
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
         args = (families, SWEEP_TOGGLES, self.NFS, [0])
@@ -1022,29 +1077,60 @@ class TestAblation:
     def test_phantom_generated_once_per_family_and_seed(self, monkeypatch):
         import maup.pipeline as pl
 
-        calls = []
+        calls, draws = [], []
+        real_paint, real_draws = pl.paint_phantom, pl.phantom_draws
 
-        def counted(spec):
+        def counted(spec, d):
             calls.append((spec.family, spec.seed))
-            return generate_phantom(spec)
+            return real_paint(spec, d)
 
-        monkeypatch.setattr(pl, "generate_phantom", counted)
+        def counted_draws(seed, size, channels):
+            draws.append(seed)
+            return real_draws(seed, size, channels)
+
+        monkeypatch.setattr(pl, "paint_phantom", counted)
+        monkeypatch.setattr(pl, "phantom_draws", counted_draws)
         fams = [PhantomSpec(family="disk"), PhantomSpec(family="annulus")]
         report = pl.ablation_run(
             fams, [(True, True, True), (True, True, False)], nf_values=[1, 5], seeds=[0, 1]
         )
         assert len(report.rows) == 2 * 2 * 2 * 2
         assert sorted(calls) == [("annulus", 0), ("annulus", 1), ("disk", 0), ("disk", 1)]
+        assert draws == [0, 1]  # one seed's draws at a time, shared by both families
+
+    def test_phantoms_from_shared_draws_equal_their_own(self, monkeypatch):
+        # two sizes, two channel counts and noise 0 and > 0 in one sweep: each seed draws once
+        # per (size, channels), and every family's phantom is the one its spec generates
+        real_paint, painted = pl.paint_phantom, []
+
+        def recorded(spec, draws):
+            painted.append((spec, real_paint(spec, draws)))
+            return painted[-1][1]
+
+        monkeypatch.setattr(pl, "paint_phantom", recorded)
+        families = [
+            PhantomSpec("disk", size=16, channels=3, noise=0.0),
+            PhantomSpec("two-lobe", size=20, channels=5, noise=0.2, contrast=0.4),
+            PhantomSpec("annulus", size=16, channels=3, noise=0.1),
+            PhantomSpec("ellipse", size=20, channels=5, noise=0.0),
+            PhantomSpec("disk", size=16, channels=5, noise=0.3),
+        ]
+        report = pl.ablation_run(families, [(True, True, True)], nf_values=[1, 5], seeds=[0, 3, 11])
+        assert len(painted) == len(families) * 3 and all(r.status == "ok" for r in report.rows)
+        for spec, got in painted:
+            assert phantom_bytes(got) == phantom_bytes(generate_phantom_reference(spec)), spec
 
     def test_failed_phantom_fails_each_of_its_cells(self, monkeypatch):
         import maup.pipeline as pl
 
-        def flaky(spec):
+        real_paint = pl.paint_phantom
+
+        def flaky(spec, draws):
             if spec.seed == 1:
                 raise SpecError("synthetic phantom failure")
-            return generate_phantom(spec)
+            return real_paint(spec, draws)
 
-        monkeypatch.setattr(pl, "generate_phantom", flaky)
+        monkeypatch.setattr(pl, "paint_phantom", flaky)
         report = pl.ablation_run(
             [PhantomSpec(family="disk")],
             [(True, True, True), (False, True, False)],
@@ -1087,7 +1173,7 @@ class TestAblation:
 
     def test_negative_seed_fails_before_any_cell(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(pl, "generate_phantom", lambda spec: calls.append(spec))
+        monkeypatch.setattr(pl, "phantom_draws", lambda *args: calls.append(args))
         with pytest.raises(ConfigError, match="seed"):
             ablation_run([PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, -1])
         assert calls == []
@@ -1096,7 +1182,7 @@ class TestAblation:
     def test_non_finite_threshold_fails_before_any_cell(self, monkeypatch, threshold):
         # a nan threshold segments nothing and would read as dice 0.0 on every ok row
         calls = []
-        monkeypatch.setattr(pl, "generate_phantom", lambda spec: calls.append(spec))
+        monkeypatch.setattr(pl, "phantom_draws", lambda *args: calls.append(args))
         with pytest.raises(ConfigError, match="threshold"):
             ablation_run([PhantomSpec(family="disk")], [(True, True, True)], threshold=threshold)
         assert calls == []
@@ -1105,7 +1191,7 @@ class TestAblation:
     def test_no_seeds_fails_before_any_cell(self, monkeypatch, seeds):
         # an empty seed list would write a header-only report and read as success
         calls = []
-        monkeypatch.setattr(pl, "generate_phantom", lambda spec: calls.append(spec))
+        monkeypatch.setattr(pl, "phantom_draws", lambda *args: calls.append(args))
         with pytest.raises(ConfigError, match="seed"):
             ablation_run([PhantomSpec(family="disk")], [(True, True, True)], seeds=list(seeds))
         assert calls == []

@@ -287,6 +287,35 @@ class TestComplexity:
             complexity(np.zeros((4, 4), dtype=bool))
 
 
+class TestLeanComplexity:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        hot=st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+            lambda hw: st.lists(st.booleans(), min_size=hw[0] * hw[1], max_size=hw[0] * hw[1]).map(
+                lambda bits: np.array(bits, dtype=bool).reshape(hw)
+            )
+        )
+    )
+    def test_complexity_counts_as_area_and_perimeter(self, hot):
+        if not hot.any():
+            with pytest.raises(EmptyCandidateError):
+                complexity(hot)
+            return
+        area, perimeter = area_and_perimeter(BitMask(hot.astype(np.uint8)))
+        assert complexity(hot) == area / hot.size + perimeter / (2 * sum(hot.shape))
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        gamma=st.floats(1e-300, 1.7e308, allow_nan=False, allow_infinity=False),
+        c=st.floats(0.0, 50.0, allow_nan=False),
+        bounds=st.tuples(st.integers(1, 2**70), st.integers(0, 2**70)).map(lambda t: (t[0], t[0] + t[1])),
+    )
+    def test_adaptive_k_clamps_as_np_clip(self, gamma, c, bounds):
+        # bounds past 2**53 are compared as the floats np.clip makes of them
+        cfg = PromptConfig(gamma=gamma, n_min=bounds[0], n_max=bounds[1])
+        assert adaptive_k(c, cfg) == int(np.clip(np.floor(cfg.gamma * c), cfg.n_min, cfg.n_max))
+
+
 class TestAdaptiveK:
     @pytest.mark.parametrize(
         "gamma,c,expected",

@@ -14,6 +14,8 @@ from maup.regions import (
     dilate,
     farthest_point_seeds,
     periphery_mask,
+    seed_distances,
+    voronoi_labels,
     voronoi_partition,
 )
 from maup.tensors import BitMask
@@ -378,3 +380,26 @@ class TestAreaPerimeter:
         assert area == int(m.bits.sum())
         assert per == perimeter_oracle(m.bits)
         assert per <= 4 * area
+
+
+class TestSeedDistancePrefixes:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(1, 12),
+        w=st.integers(1, 12),
+        density=st.floats(0.05, 1.0),
+        n=st.integers(1, 40),
+    )
+    def test_labels_of_every_prefix_equal_their_own_partition(self, seed, h, w, density, n):
+        # a sweep builds one distance matrix for the largest n_f and takes each n_f's labels
+        # from its first n_f rows
+        fg = random_mask(seed, h, w, density)
+        seeds = farthest_point_seeds(fg, n, seed)
+        d2 = seed_distances(fg, seeds)
+        assert d2.dtype == np.int64 and d2.shape == (len(seeds), fg.foreground_count)
+        for m in range(1, len(seeds) + 1):
+            labels = voronoi_labels(fg, d2[:m])
+            assert np.array_equal(labels, voronoi_partition(fg, seeds[:m]))
+            oracle = voronoi_oracle(fg.bits, seeds[:m].tolist())
+            assert all(labels[y, x] == k for (y, x), k in oracle.items())

@@ -9,13 +9,15 @@ from hypothesis.extra.numpy import arrays
 from maup.errors import ConfigError, EmptyCandidateError, EmptyStackError, ShapeError
 from maup.simmaps import (
     cosine_map,
-    cosine_rows,
     candidate_mask,
+    cosine_rows,
     mean_map,
     percentile_threshold,
     query_side,
+    rounded_cosines,
     similarity_scores,
     similarity_stack,
+    stack_moments,
     uncertainty_map,
     write_pgm,
 )
@@ -256,6 +258,33 @@ class TestStackReductions:
         part = cosine_rows(scores[:n].copy(), protos[:n], pix_norm)
         assert full[:n].tobytes() == part.tobytes()
         assert full.tobytes() == similarity_stack(f, protos).tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        c=st.integers(1, 40),
+        hw=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        n=st.integers(1, 70),
+        zero_pixels=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fused_epilogue_gives_the_stack_bytes(self, c, hw, n, zero_pixels, seed):
+        # one float64 buffer, rounded to float32 in place, then its mean and variance in
+        # place: the bytes of the float32 stack and its two reductions
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((c, hw[0] * hw[1]))
+        if zero_pixels:
+            feats[:, rng.random(hw[0] * hw[1]) < 0.3] = 0.0
+        protos = rng.standard_normal((n, c))
+        f = FeatureMap(feats.astype(np.float32).reshape(c, *hw))
+        query, pix_norm = query_side(f)
+        scores = similarity_scores(protos, query)
+        stack = similarity_stack(f, protos)
+        rounded = rounded_cosines(scores, protos, pix_norm)
+        assert rounded.dtype == np.float64 and np.array_equal(rounded, stack.reshape(n, -1))
+        mean, uncert = stack_moments(rounded.reshape(n, *hw))
+        want_mean = mean_map(stack)
+        assert mean.values.tobytes() == want_mean.values.tobytes()
+        assert uncert.values.tobytes() == uncertainty_map(stack, want_mean).values.tobytes()
 
     @settings(deadline=None)
     @given(
