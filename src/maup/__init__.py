@@ -44,7 +44,6 @@ from .prompting import (
 from .prototypes import periphery_prototype, regional_prototypes
 from .regions import (
     StructuringElement,
-    area_and_perimeter,
     dilate,
     farthest_point_seeds,
     periphery_mask,

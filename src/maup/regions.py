@@ -1,4 +1,4 @@
-"""Binary-mask geometry: foreground partitioning, dilation, periphery, metrics.
+"""Binary-mask geometry: foreground partitioning, dilation, periphery.
 
 The foreground of a support mask is split into spatially compact regions by
 seeding points with farthest-point sampling and labelling every foreground
@@ -152,15 +152,3 @@ def periphery_mask(support: BitMask, se: StructuringElement) -> BitMask:
     """
     return BitMask(dilate(support, se).bits & (1 - support.bits))
 
-
-def area_and_perimeter(m: BitMask) -> tuple[int, int]:
-    """Count set pixels and exposed 4-neighbor edges.
-
-    An edge is exposed when a set pixel borders an unset pixel or the frame
-    boundary, so a lone pixel contributes 4 and a solid k x k square 4k.
-    """
-    bits = m.bits
-    area = int(bits.sum())
-    h_pairs = int((bits[:, 1:] & bits[:, :-1]).sum())
-    v_pairs = int((bits[1:, :] & bits[:-1, :]).sum())
-    return area, 4 * area - 2 * (h_pairs + v_pairs)

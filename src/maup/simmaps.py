@@ -23,11 +23,11 @@ def similarity_stack(f_q: FeatureMap, protos: np.ndarray) -> np.ndarray:
     (P x C) @ (C x HW) product and rounded once to float32. Pixels or
     prototypes with zero norm get similarity 0 instead of NaN. The three
     steps are :func:`query_side`, :func:`similarity_scores` and
-    :func:`cosine_rows`.
+    :func:`rounded_cosines`.
     """
     feats, pix_norm = query_side(f_q)
     scores = similarity_scores(protos, feats)
-    return cosine_rows(scores, protos, pix_norm).reshape(-1, f_q.height, f_q.width)
+    return rounded_cosines(scores, protos, pix_norm).astype(np.float32).reshape(-1, f_q.height, f_q.width)
 
 
 def query_side(f_q: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
@@ -44,23 +44,12 @@ def similarity_scores(protos: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return protos @ feats
 
 
-def cosine_rows(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) -> np.ndarray:
-    """P x HW float32 cosines from a raw product, clipped to [-1, 1]; 0 where a norm is 0.
+def rounded_cosines(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) -> np.ndarray:
+    """P x HW cosines from a raw product, clipped to [-1, 1], rounded to float32 in float64; 0 where a norm is 0.
 
     Elementwise with per-row norms, so equal score rows give equal cosine
     rows whatever the other rows are. ``scores`` is read, never written.
     """
-    return _clipped_cosines(scores, protos, pix_norm).astype(np.float32)
-
-
-def rounded_cosines(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) -> np.ndarray:
-    """:func:`cosine_rows`' values held in float64: one P x HW buffer and no float32 copy."""
-    sims = _clipped_cosines(scores, protos, pix_norm)
-    np.positive(sims, out=sims, dtype=np.float32, casting="same_kind")  # rounds in place, no float32 copy
-    return sims
-
-
-def _clipped_cosines(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(np.asarray(protos, dtype=np.float64), axis=1)
     sims = norms[:, None] * pix_norm  # the denominators, divided in place
     lo = norms.min(initial=np.inf) * pix_norm.min(initial=np.inf)
@@ -73,6 +62,7 @@ def _clipped_cosines(scores: np.ndarray, protos: np.ndarray, pix_norm: np.ndarra
             np.divide(scores, sims, out=sims, where=nonzero)
         sims[~nonzero] = 0.0
     np.clip(sims, -1.0, 1.0, out=sims)
+    np.positive(sims, out=sims, dtype=np.float32, casting="same_kind")  # rounds in place, no float32 copy
     return sims
 
 

@@ -37,10 +37,11 @@ def surrogate_segment(prompts: PromptSet, gt_like: ScalarMap, threshold: float) 
 
     Grows 4-connected regions of ``gt_like >= threshold`` from the positive
     points, then discards any grown region that also contains a negative
-    point: :func:`label_components`, then :func:`component_mask`. An
-    out-of-bounds prompt's error names it in image coordinates.
+    point: :func:`label_components`, then :func:`kept_components` looked up
+    per label. An out-of-bounds prompt's error names it in image coordinates.
     """
-    return component_mask(prompts, label_components(gt_like, threshold))
+    labels = label_components(gt_like, threshold)
+    return BitMask(kept_components(prompts, labels).view(np.uint8)[labels])
 
 
 def label_components(gt_like: ScalarMap, threshold: float) -> np.ndarray:
@@ -63,19 +64,11 @@ def label_components(gt_like: ScalarMap, threshold: float) -> np.ndarray:
     return labels[1:-1, 1:-1].copy()
 
 
-def component_mask(prompts: PromptSet, labels: np.ndarray) -> BitMask:
-    """The components of a label map that hold a positive point and no negative point.
-
-    ``labels`` is :func:`label_components`' map. The first out-of-frame
-    positive, else the first out-of-frame negative, raises a ShapeError.
-    """
-    return BitMask(kept_components(prompts, labels).view(np.uint8)[labels])
-
-
 def kept_components(prompts: PromptSet, labels: np.ndarray) -> np.ndarray:
-    """:func:`component_mask` per label: True for a component with a positive and no negative.
+    """Per label of :func:`label_components`' map: True for a component with a positive and no negative.
 
-    Label 0, the pixels below the threshold, is never kept.
+    Label 0 is never kept. The first out-of-frame positive, else the first
+    out-of-frame negative, raises a ShapeError.
     """
     h, w = labels.shape
     off = _off_frame(prompts, h, w)

@@ -81,6 +81,30 @@ def variance_oracle(maps):
     return out
 
 
+def cosine_rows_reference(scores, protos, pix_norm):
+    """P x HW float32 cosines from a raw product as the float32 epilogue first computed them.
+
+    Divides into a float64 denominator buffer (plainly when every denominator
+    is positive and finite, else masked with 0 where it is not), clips to
+    [-1, 1] and casts to float32. ``scores`` is read, never written.
+    """
+    import numpy as np
+
+    norms = np.linalg.norm(np.asarray(protos, dtype=np.float64), axis=1)
+    sims = norms[:, None] * pix_norm
+    lo = norms.min(initial=np.inf) * pix_norm.min(initial=np.inf)
+    hi = norms.max(initial=0.0) * pix_norm.max(initial=0.0)
+    if 0.0 < lo and hi < np.inf:
+        np.divide(scores, sims, out=sims)
+    else:
+        nonzero = sims > 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(scores, sims, out=sims, where=nonzero)
+        sims[~nonzero] = 0.0
+    np.clip(sims, -1.0, 1.0, out=sims)
+    return sims.astype(np.float32)
+
+
 def disk_offsets(radius):
     """Every offset (dy, dx) of the discrete disk: dy^2 + dx^2 <= radius^2."""
     span = range(-radius, radius + 1)
@@ -134,6 +158,19 @@ def candidates_oracle(values, tau):
     """Row-major (row, col) pixels whose value, taken as a float64, reaches tau."""
     h, w = values.shape
     return [(y, x) for y in range(h) for x in range(w) if float(values[y, x]) >= tau]
+
+
+def area_and_perimeter(m):
+    """Count a BitMask's set pixels and exposed 4-neighbor edges with whole-array sums.
+
+    An edge is exposed when a set pixel borders an unset pixel or the frame
+    boundary, so a lone pixel contributes 4 and a solid k x k square 4k.
+    """
+    bits = m.bits
+    area = int(bits.sum())
+    h_pairs = int((bits[:, 1:] & bits[:, :-1]).sum())
+    v_pairs = int((bits[1:, :] & bits[:-1, :]).sum())
+    return area, 4 * area - 2 * (h_pairs + v_pairs)
 
 
 def perimeter_oracle(bits):

@@ -36,7 +36,7 @@ from maup.pipeline import (
 )
 from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, generate_prompts, to_image_xy
 from maup.simmaps import candidate_mask
-from maup.surrogate import component_mask, component_table, kept_components, label_components, table_dice
+from maup.surrogate import component_table, kept_components, label_components, table_dice
 from maup.tensors import BitMask, FeatureMap, ScalarMap, save_tensor
 
 from oracles import (
@@ -637,7 +637,7 @@ class TestComponentLabels:
         for k, first in enumerate(firsts, start=1):
             flood = np.array(flood_oracle(above, [divmod(first, above.shape[1])], []), dtype=bool)
             assert np.array_equal(labels == k, flood)
-        mask = component_mask(export_with(pos, neg), labels)
+        mask = surrogate_segment(export_with(pos, neg), ScalarMap(above.astype(np.float32)), 0.5)
         assert np.array_equal(mask.bits, np.array(flood_oracle(above, pos, neg), dtype=np.uint8))
 
     @settings(deadline=None, max_examples=300)
@@ -655,7 +655,7 @@ class TestComponentLabels:
         labels = label_components(ScalarMap(above.astype(np.float32)), 0.5)
         export = export_with(pos, neg)
         got = table_dice(kept_components(export, labels), component_table(labels, truth))
-        want = dice(component_mask(export, labels), truth)
+        want = dice(surrogate_segment(export, ScalarMap(above.astype(np.float32)), 0.5), truth)
         assert type(got) is float and got == want == flood_dice_oracle(above, pos, neg, gt)
 
     def test_table_of_a_misaligned_truth_fails_as_dice_does(self):
@@ -672,9 +672,8 @@ class TestComponentLabels:
     )
     def test_out_of_frame_positives_are_reported_before_negatives(self, pos, neg, named):
         above = disk_intensity(8, 8, 4, 4, 2).values >= 0.5
-        labels = label_components(ScalarMap(above.astype(np.float32)), 0.5)
         export = export_with(pos, neg, scale=14)
-        got = shape_error_or(lambda: component_mask(export, labels))
+        got = shape_error_or(lambda: surrogate_segment(export, ScalarMap(above.astype(np.float32)), 0.5))
         assert got == (ShapeError, f"prompt ({named}) is out of bounds for a 8x8 map")
         assert got == shape_error_or(lambda: surrogate_reference(export.to_dict(), above))
 

@@ -31,11 +31,10 @@ from maup.prompting import (
     positive_prompts,
     select_prompts,
 )
-from maup.regions import area_and_perimeter
 from maup.simmaps import candidate_mask, percentile_threshold
 from maup.tensors import BitMask, ScalarMap
 
-from oracles import candidates_oracle, two_means_oracle
+from oracles import area_and_perimeter, candidates_oracle, two_means_oracle
 
 
 def assign_reference(coords, centers):

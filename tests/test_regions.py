@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from maup.errors import ConfigError, EmptyMaskError, SeedError
 from maup.regions import (
     StructuringElement,
-    area_and_perimeter,
     dilate,
     farthest_point_seeds,
     periphery_mask,
@@ -20,7 +19,7 @@ from maup.regions import (
 )
 from maup.tensors import BitMask
 
-from oracles import dilate_oracle, disk_offsets, perimeter_oracle, voronoi_oracle
+from oracles import area_and_perimeter, dilate_oracle, disk_offsets, perimeter_oracle, voronoi_oracle
 
 
 def random_mask(seed, h=16, w=16, density=0.3, non_empty=True):
@@ -355,6 +354,8 @@ class TestPeriphery:
 
 
 class TestAreaPerimeter:
+    """The oracles' whole-array counter that `complexity`'s tests compare with, against the pixel loop."""
+
     def test_empty(self):
         assert area_and_perimeter(BitMask(np.zeros((3, 3), dtype=np.uint8))) == (0, 0)
 

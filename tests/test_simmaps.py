@@ -10,7 +10,6 @@ from maup.errors import ConfigError, EmptyCandidateError, EmptyStackError, Shape
 from maup.simmaps import (
     cosine_map,
     candidate_mask,
-    cosine_rows,
     mean_map,
     percentile_threshold,
     query_side,
@@ -26,6 +25,7 @@ from maup.tensors import FeatureMap, ScalarMap
 from oracles import (
     candidates_oracle,
     cosine_oracle,
+    cosine_rows_reference,
     mean_oracle,
     percentile_oracle,
     variance_oracle,
@@ -241,8 +241,9 @@ class TestStackReductions:
     @example(c=3, hw=4, n=2, zero_rows={2}, zero_pixels=False, seed=0)
     @example(c=3, hw=4, n=2, zero_rows=set(), zero_pixels=True, seed=1)
     def test_equal_score_rows_give_equal_cosine_rows(self, c, hw, n, zero_rows, zero_pixels, seed):
-        # the sibling rule: the first n rows of a longer product give the bytes of an
-        # n-row product with the same rows, whichever path (plain or masked divide) each takes
+        # the sibling rule _maps relies on: the first n rows of a longer product give the
+        # bytes of an n-row product with the same rows, whichever path (plain or masked
+        # divide) each takes
         rng = np.random.default_rng(seed)
         feats = rng.standard_normal((c, hw))
         if zero_pixels:
@@ -253,11 +254,39 @@ class TestStackReductions:
         query, pix_norm = query_side(f)
         scores = similarity_scores(protos, query)
         kept = scores.copy()
-        full = cosine_rows(scores, protos, pix_norm)
+        full = rounded_cosines(scores, protos, pix_norm)
         assert np.array_equal(scores, kept)  # the product is read, never written
-        part = cosine_rows(scores[:n].copy(), protos[:n], pix_norm)
+        part = rounded_cosines(scores[:n].copy(), protos[:n], pix_norm)
         assert full[:n].tobytes() == part.tobytes()
-        assert full.tobytes() == similarity_stack(f, protos).tobytes()
+        assert full.astype(np.float32).tobytes() == similarity_stack(f, protos).tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        c=st.integers(1, 40),
+        hw=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        n=st.integers(1, 8),
+        zero_rows=st.sets(st.integers(0, 7)),
+        zero_pixels=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(c=3, hw=(2, 2), n=2, zero_rows=set(), zero_pixels=False, seed=0)  # the plain divide
+    @example(c=3, hw=(2, 2), n=2, zero_rows={1}, zero_pixels=False, seed=1)  # a zero-norm prototype
+    @example(c=3, hw=(5, 5), n=2, zero_rows=set(), zero_pixels=True, seed=2)  # zero pixels
+    def test_stack_equals_the_float32_epilogue(self, c, hw, n, zero_rows, zero_pixels, seed):
+        # one epilogue, rounded in its float64 buffer and then cast, gives the bytes the
+        # float32 epilogue gave, on the plain and on the masked divide
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((c, hw[0] * hw[1]))
+        if zero_pixels:
+            feats[:, rng.random(hw[0] * hw[1]) < 0.3] = 0.0
+        protos = rng.standard_normal((n, c))
+        protos[[k for k in zero_rows if k < n]] = 0.0
+        f = FeatureMap(feats.astype(np.float32).reshape(c, *hw))
+        query, pix_norm = query_side(f)
+        scores = similarity_scores(protos, query)
+        want = cosine_rows_reference(scores, protos, pix_norm).reshape(n, *hw)
+        got = similarity_stack(f, protos)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
     @settings(deadline=None, max_examples=100)
     @given(
