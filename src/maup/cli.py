@@ -41,7 +41,7 @@ HELP = {
     "scale": "grid-to-image pixel factor",
 }
 PER_CELL = {"seed", "nf", "scale"}  # a sweep sets these per cell: no sweep key sets their default
-SWEEP_KEYS = {"families", "toggles", "nf", "seeds", "threshold"} | (
+SWEEP_KEYS = {"families", "toggles", "nf", "seeds"} | (
     PROMPT_FLAGS.keys() | PHANTOM_FLAGS.keys()
 ) - PER_CELL
 
@@ -195,13 +195,10 @@ def _cmd_ablate(args) -> int:
     try:
         nf_values = [int(t) for t in raw.get("nf", "").split(",") if t.strip()]
         seeds = _parse_seeds(raw.get("seeds", "1"))
-        threshold = float(raw.get("threshold", 0.5))
     except ValueError as e:
-        raise MaupError(f"{args.config}: bad sweep list or threshold: {e}") from e
-    base = PromptConfig(**_field_values(PromptConfig, PROMPT_FLAGS, given, args.config), scale=1)
-    report = ablation_run(
-        families, toggles, nf_values=nf_values, seeds=seeds, base_config=base, threshold=threshold
-    )
+        raise MaupError(f"{args.config}: bad sweep list: {e}") from e
+    base = PromptConfig(**_field_values(PromptConfig, PROMPT_FLAGS, given, args.config))
+    report = ablation_run(families, toggles, nf_values=nf_values, seeds=seeds, base_config=base)
     report.write_csv(args.out)
     failed = sum(1 for r in report.rows if r.dice is None)
     print(report.format_summary())

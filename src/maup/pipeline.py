@@ -10,7 +10,6 @@ synthetic phantoms with the surrogate segmenter.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyMaskError, MaupError, ShapeError
 from .phantom import Phantom, PhantomSpec, generate_phantom, paint_phantom, phantom_draws
-from .prompting import PromptConfig, PromptSet, _once, _positives, _select, episode_seed_streams
+from .prompting import PromptConfig, PromptSet, _once, _prompts, episode_seed_streams
 from .prototypes import regional_prototypes
 from .regions import StructuringElement, farthest_point_seeds, periphery_mask, seed_distances, voronoi_labels
 from .simmaps import query_side, rounded_cosines, similarity_scores, stack_moments
@@ -151,9 +150,8 @@ def execute_episode(
 ) -> EpisodeResult:
     """Run the full prompting chain on in-memory tensors.
 
-    The steps are :func:`prepare_support`, :func:`query_maps`,
-    :func:`~maup.prompting.positive_prompts` and
-    :func:`~maup.prompting.select_prompts`, with the seed streams derived once.
+    The steps are :func:`prepare_support`, :func:`query_maps` and
+    :func:`~maup.prompting.generate_prompts`, with the seed streams derived once.
     """
     return _episode({}, support_features, support_mask, query_features, cfg, cfg.n_regions)
 
@@ -163,20 +161,14 @@ def _episode(
 ) -> EpisodeResult:
     """:func:`execute_episode` with its stages looked up in ``memo``.
 
-    Memo keys beyond :func:`_support`'s and :func:`_maps`': ("maps", n_f, np),
-    ("positives", mean bytes, uncertainty bytes, mmp, ump), so equal maps
-    share positives, and the K-means and negative candidate keys of
-    :func:`~maup.prompting._positives` and :func:`~maup.prompting._negatives`,
-    so equal candidates share clusters.
+    Memo keys: those of :func:`_support`, ("maps", n_f, np) for :func:`_maps`
+    and those of :func:`~maup.prompting._prompts`.
     Keys name only n_f, the toggles and the inputs of a stage: one memo
     serves one support, query and seed, with every other config field the same.
     """
     support = _support(memo, f, m, cfg, n_seeds)
     mean, uncert, neg_map = _once(memo, ("maps", cfg.n_regions, cfg.np), _maps, memo, support, q, cfg)
-    _, pos_seed, neg_seed = _once(memo, "streams", episode_seed_streams, cfg.seed)
-    key = ("positives", mean.values.tobytes(), uncert.values.tobytes(), cfg.mmp, cfg.ump)
-    positives = _once(memo, key, _positives, memo, mean, uncert, cfg, pos_seed)
-    prompts = _select(memo, positives, neg_map, cfg, neg_seed)
+    prompts = _prompts(memo, mean, uncert, neg_map, cfg)
     return EpisodeResult(prompts, support.labels, mean, uncert, neg_map, len(support.protos))
 
 
@@ -244,7 +236,6 @@ def ablation_run(
     nf_values: list[int] | None = None,
     seeds: list[int] = (0,),
     base_config: PromptConfig | None = None,
-    threshold: float = 0.5,
 ) -> AblationReport:
     """Sweep toggle rows (and optionally region counts) over phantom families.
 
@@ -253,9 +244,9 @@ def ablation_run(
     varies: a seed's phantom draws (by size and channel count) and its cell
     configs serve every family, and the cells of one (family, seed) share
     one memo (see :func:`_episode`). That memo's "components" key holds the
-    query's thresholded components and "table" their pixel and ground-truth
-    counts; a cell's Dice sums the counts of the components holding a
-    positive and no negative.
+    components of the query intensity at 0.5 and "table" their pixel and
+    ground-truth counts; a cell's Dice sums the counts of the components
+    holding a positive and no negative.
     Failed cells keep their row with an empty dice and a failure note. Rows
     come back sorted by family name, toggles, n_f and seed.
     """
@@ -265,9 +256,7 @@ def ablation_run(
         raise ConfigError("need at least one sweep seed")
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"sweep seeds must be >= 0, got {min(seeds)}")
-    if not math.isfinite(threshold):
-        raise ConfigError(f"threshold must be finite, got {threshold}")
-    base = base_config if base_config is not None else PromptConfig(scale=1)
+    base = base_config if base_config is not None else PromptConfig()
     nfs = list(nf_values) if nf_values else [base.n_regions]
     n_seeds = max(nfs)  # only n_f >= 1 is valid: this is the largest valid n_f
     toggles = sorted(toggles, key=lambda t: not t[2])  # negative path on first: off rows reuse its support
@@ -283,10 +272,8 @@ def ablation_run(
                     cfg = _once(cfgs, (nf, toggle), _cell_config, base, toggle, nf, seed)
                     ph = _once(memo, "phantom", _phantom, draws, spec)
                     res = _episode(memo, ph.support_features, ph.support_mask, ph.query_features, cfg, n_seeds)
-                    h, w = ph.query_features.height, ph.query_features.width
-                    prompts = build_export(res.prompts, res.n_regions, h, w)
-                    labels = _once(memo, "components", label_components, ph.query_intensity, threshold)
-                    keep = kept_components(prompts, labels)
+                    labels = _once(memo, "components", label_components, ph.query_intensity, 0.5)
+                    keep = kept_components(res.prompts, labels)  # raises on an off-frame prompt
                     d = table_dice(keep, _once(memo, "table", component_table, labels, ph.query_gt))
                     rows.append(AblationRow(*key, d, "ok"))
                 except MaupError as e:

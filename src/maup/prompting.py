@@ -16,6 +16,7 @@ draw order, so identical inputs and seed give identical prompts.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -133,15 +134,15 @@ def to_image_xy(points: np.ndarray, scale: int) -> np.ndarray:
 
 
 def _once(memo: dict, key, fn, *args):
-    """``fn(*args)``, computed once per ``memo`` key; a MaupError it raised is raised again."""
+    """``fn(*args)``, computed once per ``memo`` key; a MaupError it raised is raised again, as a fresh copy."""
     if key not in memo:
         try:
             memo[key] = fn(*args)
         except MaupError as e:
-            memo[key] = e
+            memo[key] = copy.copy(e)  # no traceback: one would hold this frame, so the memo, in a cycle
             raise
     if isinstance(memo[key], MaupError):
-        raise memo[key]
+        raise copy.copy(memo[key])
     return memo[key]
 
 
@@ -413,17 +414,25 @@ def generate_prompts(
     Seeds for the two stages are derived from ``cfg.seed`` with the same
     stream split the episode pipeline uses.
     """
-    _, pos_seed, neg_seed = episode_seed_streams(cfg.seed)
-    return select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg_map, cfg, neg_seed)
+    return _prompts({}, mean, uncert, neg_map, cfg)
 
 
-def select_prompts(ps: PromptSet, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
-    """:func:`generate_prompts` from :func:`positive_prompts`' set ``ps``, which is only read."""
-    return _select({}, ps, neg_map, cfg, neg_seed)
+def _prompts(
+    memo: dict, mean: ScalarMap, uncert: ScalarMap, neg_map: ScalarMap | None, cfg: PromptConfig
+) -> PromptSet:
+    """:func:`generate_prompts` with its stages looked up in ``memo``.
+
+    Memo keys "streams" (the episode's seed streams), ("positives", mean
+    bytes, uncertainty bytes, mmp, ump), so equal maps share positives, and
+    those of :func:`_positives` and :func:`_negatives`.
+    """
+    _, pos_seed, neg_seed = _once(memo, "streams", episode_seed_streams, cfg.seed)
+    key = ("positives", mean.values.tobytes(), uncert.values.tobytes(), cfg.mmp, cfg.ump)
+    return _select(memo, _once(memo, key, _positives, memo, mean, uncert, cfg, pos_seed), neg_map, cfg, neg_seed)
 
 
 def _select(memo: dict, ps: PromptSet, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
-    """:func:`select_prompts` with the negatives' stages looked up in ``memo`` (see :func:`_negatives`)."""
+    """The positives-only set ``ps``, which is only read, with its negatives; see :func:`_negatives` for ``memo``."""
     if not cfg.np:
         return ps  # positive_prompts' set: no negatives, no tau_neg, no flags
     neg_pts, tau_neg, flags = np.empty((0, 2), dtype=np.int64), None, ()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -49,7 +49,30 @@ class TestGeneration:
         assert ph.query_gt.foreground_count > 0
         assert np.isfinite(ph.support_features.data).all()
         assert np.isfinite(ph.query_features.data).all()
-        assert set(np.unique(ph.query_intensity.values)) <= {0.0, 1.0}
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        size=st.integers(16, 48),
+        channels=st.integers(3, 24),
+        contrast=st.floats(0.0, 1.0, exclude_min=True),
+        noise=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(family="disk", size=32, channels=16, contrast=1.0, noise=0.1, seed=3)
+    @example(family="ellipse", size=32, channels=16, contrast=1.0, noise=0.1, seed=3)
+    @example(family="two-lobe", size=32, channels=16, contrast=1.0, noise=0.1, seed=3)
+    @example(family="annulus", size=32, channels=16, contrast=1.0, noise=0.1, seed=3)
+    def test_query_intensity_is_binary(self, family, size, channels, contrast, noise, seed):
+        # every field of the spec leaves the intensity a 0/1 organ-or-decoy mask, so a sweep's
+        # components are the same at any threshold in (0, 1]: ablation_run labels them at 0.5
+        spec = PhantomSpec(family, size=size, channels=channels, contrast=contrast, noise=noise, seed=seed)
+        try:
+            ph = generate_phantom(spec)
+        except SpecError:
+            return  # the organ is clipped away: no episode to check
+        values = ph.query_intensity.values
+        assert values.shape == (size, size) and set(np.unique(values)) <= {0.0, 1.0}
 
     def test_same_seed_is_bit_identical(self):
         spec = PhantomSpec(family="two-lobe", contrast=0.5, noise=0.2, seed=11)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import traceback
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -91,7 +93,7 @@ def reference_episode(support_features, support_mask, query_features, cfg):
     return EpisodeResult(prompts, partition, mean, uncert, neg_map, len(seeds))
 
 
-def reference_ablation(families, toggles, nf_values, seeds, threshold=0.5):
+def reference_ablation(families, toggles, nf_values, seeds):
     """``ablation_run`` as a per-cell loop: one reference episode per cell, nothing shared."""
     base = PromptConfig(scale=1)
     rows = []
@@ -107,7 +109,7 @@ def reference_ablation(families, toggles, nf_values, seeds, threshold=0.5):
                     raise ph
                 res = reference_episode(ph.support_features, ph.support_mask, ph.query_features, cfg)
                 export = build_export(res.prompts, res.n_regions, ph.query_features.height, ph.query_features.width)
-                d = dice(surrogate_segment(export, ph.query_intensity, threshold), ph.query_gt)
+                d = dice(surrogate_segment(export, ph.query_intensity, 0.5), ph.query_gt)
                 rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, d, "ok"))
             except MaupError as e:
                 rows.append(AblationRow(fam.family, mmp, ump, np_, nf, seed, None, f"failed: {e}"))
@@ -733,14 +735,14 @@ class TestAblation:
         assert len(report.rows) == 1 * 1 * 5 * 2
 
     def test_failed_rows_are_flagged_not_dropped(self, monkeypatch):
-        real = pl._select  # select_prompts with the sweep's memo: the per-cell step
+        real = mp._select  # the per-cell step of maup.prompting._prompts
 
         def flaky(memo, positives, neg_map, cfg, neg_seed):
             if cfg.seed == 1:
                 raise EmptyMaskError("synthetic failure")
             return real(memo, positives, neg_map, cfg, neg_seed)
 
-        monkeypatch.setattr(pl, "_select", flaky)
+        monkeypatch.setattr(mp, "_select", flaky)
         report = pl.ablation_run(
             [PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, 1, 2]
         )
@@ -808,8 +810,9 @@ class TestAblation:
         "label_components",  # one component labelling per (family, seed)
         "component_table",  # one table of component and ground-truth pixel counts per (family, seed)
         "_positives",  # positive_prompts, one per distinct (maps, mmp, ump)
-        "_select",  # select_prompts, per cell
+        "_select",  # the negatives, per cell
     ]
+    PROMPTING_STAGES = {"_positives", "_select"}  # called by maup.prompting._prompts, so counted there
     EPILOGUES = SHARED_STAGES.index("rounded_cosines")
     NFS = [1, 5, 15, 30, 60]
 
@@ -821,8 +824,8 @@ class TestAblation:
         """
         counts = dict.fromkeys(self.SHARED_STAGES, 0)
 
-        def counting(name):
-            real = getattr(pl, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def counted(*args):
                 counts[name] += 1
@@ -831,7 +834,8 @@ class TestAblation:
             return counted
 
         for name in self.SHARED_STAGES:
-            monkeypatch.setattr(pl, name, counting(name))
+            module = mp if name in self.PROMPTING_STAGES else pl
+            monkeypatch.setattr(module, name, counting(module, name))
         roles = Counter()
         real_kmeans = mp.kmeans
 
@@ -937,7 +941,7 @@ class TestAblation:
         # pixel (0, 0): the off product no longer equals them, so the off row set
         # runs its own epilogue and, its maps differing, selects its own mmp+ump
         # positives, while the other groups still share theirs
-        real_scores, real_cosines, real_positives = sm.similarity_scores, pl.rounded_cosines, pl._positives
+        real_scores, real_cosines, real_positives = sm.similarity_scores, pl.rounded_cosines, mp._positives
         epilogues, calls = [], []
 
         def nudged(protos, feats):
@@ -957,7 +961,7 @@ class TestAblation:
         for module in (pl, sm):  # the reference reaches the product through maup.simmaps
             monkeypatch.setattr(module, "similarity_scores", nudged)
         monkeypatch.setattr(pl, "rounded_cosines", counted_cosines)
-        monkeypatch.setattr(pl, "_positives", counted)  # positive_prompts with the sweep's memo
+        monkeypatch.setattr(mp, "_positives", counted)  # positive_prompts with the sweep's memo
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
         args = (families, SWEEP_TOGGLES, self.NFS, [0])
         ablation_run(*args).write_csv(tmp_path / "got.csv")
@@ -1030,31 +1034,29 @@ class TestAblation:
 
     @pytest.mark.parametrize("toggles", [SWEEP_TOGGLES, SWEEP_TOGGLES[::-1]], ids=["forward", "reversed"])
     def test_every_cell_exports_the_prompts_of_its_own_episode(self, toggles):
-        # Dice cannot see a negative or an uncertainty pick that moves, so every cell's exported
-        # PromptSet is compared with a fresh episode's. Cells share K-means runs by candidate set,
-        # and a shared mean-path run hands on the generator state the uncertainty picks draw from
-        real_episode, real_export, cells, exports = pl._episode, pl.build_export, [], []
+        # Dice cannot see a negative or an uncertainty pick that moves, so every cell's scored
+        # PromptSet, its episode's, is exported and compared with a fresh episode's. Cells share
+        # K-means runs by candidate set, and a shared mean-path run hands on the generator state
+        # the uncertainty picks draw from
+        real_episode, cells = pl._episode, []
 
         def recorded(memo, f, m, q, cfg, n_seeds):
-            cells.append((f, m, q, cfg))
-            return real_episode(memo, f, m, q, cfg, n_seeds)
-
-        def captured(prompts, n_regions, height, width):
-            exports.append(real_export(prompts, n_regions, height, width))
-            return exports[-1]
+            res = real_episode(memo, f, m, q, cfg, n_seeds)
+            cells.append((f, m, q, cfg, res))
+            return res
 
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pl, "_episode", recorded)
-            patch.setattr(pl, "build_export", captured)
             report = ablation_run(families, toggles, self.NFS, [0, 1, 2])
-        assert len(cells) == len(exports) == len(report.rows) == len(FAMILIES) * 3 * len(self.NFS) * 3
+        assert len(cells) == len(report.rows) == len(FAMILIES) * 3 * len(self.NFS) * 3
         assert all(r.status == "ok" for r in report.rows)
-        for (f, m, q, cfg), got in zip(cells, exports):
+        for f, m, q, cfg, res in cells:
             fresh = execute_episode(f, m, q, cfg)
+            got = build_export(res.prompts, res.n_regions, q.height, q.width)
             want = build_export(fresh.prompts, fresh.n_regions, q.height, q.width)
             assert got.canonical_json() == want.canonical_json(), cfg
-        covered = Counter((cfg.mmp, cfg.ump, cfg.np, cfg.n_regions, cfg.seed) for _, _, _, cfg in cells)
+        covered = Counter((cfg.mmp, cfg.ump, cfg.np, cfg.n_regions, cfg.seed) for _, _, _, cfg, _ in cells)
         assert set(covered.values()) == {len(FAMILIES)}  # each cell once per family
 
     def test_a_failing_band_is_computed_once_per_family_and_seed(self, monkeypatch):
@@ -1177,14 +1179,28 @@ class TestAblation:
             ablation_run([PhantomSpec(family="disk")], [(True, True, True)], seeds=[0, -1])
         assert calls == []
 
-    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_threshold_fails_before_any_cell(self, monkeypatch, threshold):
-        # a nan threshold segments nothing and would read as dice 0.0 on every ok row
-        calls = []
-        monkeypatch.setattr(pl, "phantom_draws", lambda *args: calls.append(args))
-        with pytest.raises(ConfigError, match="threshold"):
-            ablation_run([PhantomSpec(family="disk")], [(True, True, True)], threshold=threshold)
-        assert calls == []
+    def test_a_failed_stage_leaves_no_cycle_for_the_collector(self, monkeypatch):
+        # a memoized MaupError keeps no traceback: one would hold _once's frame, and so the
+        # (family, seed) memo with its phantom and maps, in a cycle that only the collector
+        # frees; and every raise of the stored error would lengthen its traceback
+        def broken(*args):
+            raise EmptyMaskError("synthetic periphery_mask failure")
+
+        monkeypatch.setattr(pl, "periphery_mask", broken)
+        gc.collect()
+        gc.disable()
+        try:
+            report = ablation_run([PhantomSpec(family="disk")], SWEEP_TOGGLES, [1, 5], [0, 1])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert {r.status for r in report.rows if r.np} == {"failed: synthetic periphery_mask failure"}
+        memo, depths = {}, []
+        for _ in range(4):  # the failing call, then three lookups of its key
+            with pytest.raises(EmptyMaskError, match="^synthetic periphery_mask failure$") as info:
+                mp._once(memo, "band", broken)
+            depths.append(len(traceback.extract_tb(info.tb)))
+        assert depths[1] == depths[2] == depths[3] == depths[0] - 1  # without broken's frame
 
     @pytest.mark.parametrize("seeds", [[], range(3, 1)])
     def test_no_seeds_fails_before_any_cell(self, monkeypatch, seeds):

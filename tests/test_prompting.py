@@ -29,7 +29,6 @@ from maup.prompting import (
     lloyd_cluster,
     negative_prompts,
     positive_prompts,
-    select_prompts,
 )
 from maup.simmaps import candidate_mask, percentile_threshold
 from maup.tensors import BitMask, ScalarMap
@@ -871,9 +870,7 @@ class TestListReference:
         )
         neg = neg if neg_present else None
         _, pos_seed, neg_seed = mp.episode_seed_streams(seed)
-        got = outcome(
-            lambda: select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg, cfg, neg_seed)
-        )
+        got = outcome(lambda: generate_prompts(mean, uncert, neg, cfg))
         want = outcome(lambda: select_reference(mean, uncert, neg, cfg, pos_seed, neg_seed))
         assert got == want
 
@@ -913,9 +910,8 @@ class TestPointObjects:
         uncert = ScalarMap(rng.random((64, 64)) * 0.1)
         neg = ScalarMap(rng.random((64, 64)))
         cfg = PromptConfig(seed=4, scale=1, percentile=50.0)
-        _, pos_seed, neg_seed = mp.episode_seed_streams(cfg.seed)
-        want = select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg, cfg, neg_seed)
-        got = select_prompts(positive_prompts(mean, uncert, cfg, pos_seed), neg, cfg, neg_seed)
+        want = generate_prompts(mean, uncert, neg, cfg)
+        got = generate_prompts(mean, uncert, neg, cfg)
         assert fields_of(got) == fields_of(want)
         assert len(got.negatives) and len(got.positives) == want.k_used + 2
         for points in (got.positives, got.negatives):
