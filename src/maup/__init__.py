@@ -22,13 +22,9 @@ from .pipeline import (
     EpisodeResult,
     Support,
     ablation_run,
-    build_export,
-    dice,
     execute_episode,
     prepare_support,
     query_maps,
-    save_phantom,
-    surrogate_segment,
 )
 from .prompting import (
     PromptConfig,
@@ -38,8 +34,6 @@ from .prompting import (
     generate_prompts,
     kmeans,
     lloyd_cluster,
-    negative_prompts,
-    positive_prompts,
 )
 from .prototypes import periphery_prototype, regional_prototypes
 from .regions import (
@@ -57,6 +51,7 @@ from .simmaps import (
     uncertainty_map,
     write_pgm,
 )
+from .surrogate import build_export, dice, surrogate_segment
 from .tensors import (
     BitMask,
     FeatureMap,

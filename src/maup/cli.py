@@ -11,12 +11,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import MaupError, ShapeError
-from .phantom import FAMILIES, PhantomSpec
-from .pipeline import ablation_run, execute_episode, save_phantom
+from .phantom import FAMILIES, Phantom, PhantomSpec, generate_phantom
+from .pipeline import ablation_run, execute_episode
 from .prompting import PromptConfig
 from .simmaps import write_pgm
 from .surrogate import build_export, dice, surrogate_segment
-from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor
+from .tensors import BitMask, FeatureMap, ScalarMap, load_tensor, save_tensor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,10 +142,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    spec = PhantomSpec(args.family, **_field_values(PhantomSpec, PHANTOM_FLAGS, vars(args)))
-    paths = save_phantom(spec, args.out)
-    for name, path in paths.items():
-        print(f"wrote {name}: {path}")
+    ph = generate_phantom(PhantomSpec(args.family, **_field_values(PhantomSpec, PHANTOM_FLAGS, vars(args))))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for f in fields(Phantom):
+        path = out / f"{f.name}.maup"
+        save_tensor(getattr(ph, f.name), path)
+        print(f"wrote {f.name}: {path}")
     return 0
 
 

@@ -10,21 +10,21 @@ synthetic phantoms with the surrogate segmenter.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import product
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, EmptyMaskError, MaupError, ShapeError
-from .phantom import Phantom, PhantomSpec, generate_phantom, paint_phantom, phantom_draws
+from .phantom import Phantom, PhantomSpec, paint_phantom, phantom_draws
 from .prompting import PromptConfig, PromptSet, _once, _prompts, episode_seed_streams
 from .prototypes import regional_prototypes
 from .regions import StructuringElement, farthest_point_seeds, periphery_mask, seed_distances, voronoi_labels
 from .simmaps import query_side, rounded_cosines, similarity_scores, stack_moments
-from .surrogate import build_export, component_table, dice, kept_components, label_components, surrogate_segment, table_dice
-from .tensors import BitMask, FeatureMap, ScalarMap, save_tensor
+# build_export is not called here: perfbench's STAGES looks it up as ("pipeline", "build_export")
+from .surrogate import build_export, component_table, kept_components, label_components, table_dice
+from .tensors import BitMask, FeatureMap, ScalarMap
 
 
 @dataclass(frozen=True)
@@ -291,14 +291,3 @@ def _phantom(draws: dict, spec: PhantomSpec) -> Phantom:
     """The phantom of ``spec``, painted from its seed's draws, which ``draws`` holds by size and channels."""
     d = _once(draws, (spec.size, spec.channels), phantom_draws, spec.seed, spec.size, spec.channels)
     return paint_phantom(spec, d)
-
-
-def save_phantom(spec: PhantomSpec, out_dir) -> dict[str, Path]:
-    """Write one phantom episode's tensors to a directory, one ``<field>.maup`` per field."""
-    ph = generate_phantom(spec)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {f.name: out / f"{f.name}.maup" for f in fields(Phantom)}
-    for name, path in paths.items():
-        save_tensor(getattr(ph, name), path)
-    return paths

@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,9 +286,7 @@ def _kmeans_and_state(points: np.ndarray, k: int, rng: np.random.Generator):
     return kmeans(points, k, rng), rng.bit_generator.state
 
 
-def positive_prompts(
-    mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig, seed
-) -> PromptSet:
+def _positives(memo: dict, mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig, seed):
     """Select positive prompts from the enabled paths.
 
     The mean path contributes k cluster centers of the thresholded mean map;
@@ -297,22 +295,15 @@ def positive_prompts(
     to the smallest unused row-major candidates. With fewer than 2 usable
     candidates the uncertainty path contributes nothing.
 
-    Returns a :class:`PromptSet` without negatives; a path that is off gives
-    no points, and k 0 or a threshold None.
-    """
-    return _positives({}, mean, uncert, cfg, seed)
-
-
-def _positives(memo: dict, mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig, seed) -> PromptSet:
-    """:func:`positive_prompts` with the mean path's K-means and the uncertainty threshold looked up in ``memo``.
-
-    Memo keys "generator" (one generator, reset to its starting state by
-    every call), ("kmeans", "mean", candidate bytes, k) and ("hot",
-    "uncertainty", uncertainty map bytes), which holds the threshold and the
-    candidate mask. The K-means entry holds the generator's state after the
-    first run, and every lookup sets it back, so the uncertainty picks draw
-    as they would after a run of their own: the mean path is the first
-    consumer of a fresh generator, and one memo serves one ``seed`` and
+    Returns (mean points, uncertainty points, k, tau_mean, tau_uncert), the
+    points M x 2 int64 arrays; a path that is off gives no points, and k 0 or
+    a threshold None. Memo keys "generator" (one generator, reset to its
+    starting state by every call), ("kmeans", "mean", candidate bytes, k) and
+    ("hot", "uncertainty", uncertainty map bytes), which holds the threshold
+    and the candidate mask. The K-means entry holds the generator's state
+    after the first run, and every lookup sets it back, so the uncertainty
+    picks draw as they would after a run of their own: the mean path is the
+    first consumer of a fresh generator, and one memo serves one ``seed`` and
     ``cfg.percentile``.
     """
     if not (cfg.mmp or cfg.ump):
@@ -349,43 +340,22 @@ def _positives(memo: dict, mean: ScalarMap, uncert: ScalarMap, cfg: PromptConfig
         picks = [divmod(i, uncert.width) for i in taken[len(mean_pts) :]]
         uncert_pts = np.array(picks, dtype=np.int64).reshape(-1, 2)
 
-    sources = (MEAN_TAG,) * len(mean_pts) + (UNCERTAINTY_TAG,) * len(uncert_pts)
-    return PromptSet(
-        np.concatenate([mean_pts, uncert_pts]), sources, np.empty((0, 2), dtype=np.int64),
-        k_used=k, seed=cfg.seed, scale=cfg.scale, tau_mean=tau_mean, tau_uncert=tau_uncert,
-    )
+    return mean_pts, uncert_pts, k, tau_mean, tau_uncert
 
 
-def negative_prompts(
-    neg_map: ScalarMap,
-    positives: np.ndarray,
-    n_neg: int,
-    seed,
-    percentile: float,
-) -> tuple[np.ndarray, float]:
+def _negatives(memo: dict, neg_map: ScalarMap, positives: np.ndarray, n_neg: int, seed, percentile: float):
     """Spread negative prompts over the hottest periphery-similarity pixels.
 
     Candidates colliding with the M x 2 (row, col) ``positives`` are removed
     first. Returns an N x 2 int64 prompt array and the threshold; the array is
     empty (never raises) when nothing survives, and callers flag that.
-    """
-    return _negatives({}, neg_map, positives, n_neg, seed, percentile)
-
-
-def _negatives(memo: dict, neg_map: ScalarMap, positives, n_neg: int, seed, percentile: float):
-    """:func:`negative_prompts` with its threshold, candidates and K-means looked up in ``memo``.
-
     Memo keys ("hot", "negative", periphery map bytes), which holds the
     threshold and the candidate mask, and ("kmeans", "negative", surviving
-    candidate bytes).
-    One memo serves one ``seed``, ``n_neg`` and ``percentile``.
+    candidate bytes). One memo serves one ``seed``, ``n_neg`` and ``percentile``.
     """
-    if n_neg < 1:
-        raise ConfigError(f"need n_neg >= 1, got {n_neg}")
     key = ("hot", "negative", neg_map.values.tobytes())
     tau_neg, hot = _once(memo, key, _thresholded, neg_map, percentile, "negative")
-    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-    pos = pos[((pos >= 0) & (pos < hot.shape)).all(axis=1)]  # only in-frame points collide
+    pos = positives[((positives >= 0) & (positives < hot.shape)).all(axis=1)]  # only in-frame points collide
     hot = hot.copy()  # the memo's mask stays whole
     hot[pos[:, 0], pos[:, 1]] = False
     remaining = np.argwhere(hot)
@@ -423,23 +393,28 @@ def _prompts(
     """:func:`generate_prompts` with its stages looked up in ``memo``.
 
     Memo keys "streams" (the episode's seed streams), ("positives", mean
-    bytes, uncertainty bytes, mmp, ump), so equal maps share positives, and
-    those of :func:`_positives` and :func:`_negatives`.
+    bytes, uncertainty bytes, mmp, ump), which holds the tuple of
+    :func:`_positives`, so equal maps share positives, and the keys of
+    :func:`_positives` and :func:`_negatives`.
     """
     _, pos_seed, neg_seed = _once(memo, "streams", episode_seed_streams, cfg.seed)
     key = ("positives", mean.values.tobytes(), uncert.values.tobytes(), cfg.mmp, cfg.ump)
     return _select(memo, _once(memo, key, _positives, memo, mean, uncert, cfg, pos_seed), neg_map, cfg, neg_seed)
 
 
-def _select(memo: dict, ps: PromptSet, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
-    """The positives-only set ``ps``, which is only read, with its negatives; see :func:`_negatives` for ``memo``."""
-    if not cfg.np:
-        return ps  # positive_prompts' set: no negatives, no tau_neg, no flags
+def _select(memo: dict, positives: tuple, neg_map: ScalarMap | None, cfg: PromptConfig, neg_seed) -> PromptSet:
+    """The cell's one :class:`PromptSet`: the tuple of :func:`_positives`, only read, and its negatives.
+
+    With ``cfg.np`` off the set has no negatives, tau_neg or flags; see :func:`_negatives` for ``memo``.
+    """
+    mean_pts, uncert_pts, k, tau_mean, tau_uncert = positives
+    pos = np.concatenate([mean_pts, uncert_pts])
     neg_pts, tau_neg, flags = np.empty((0, 2), dtype=np.int64), None, ()
-    if neg_map is None:
+    if cfg.np and neg_map is None:
         flags = ("np-disabled-empty-periphery",)
-    else:
-        neg_pts, tau_neg = _negatives(memo, neg_map, ps.positives, cfg.n_neg, neg_seed, cfg.percentile)
+    elif cfg.np:
+        neg_pts, tau_neg = _negatives(memo, neg_map, pos, cfg.n_neg, neg_seed, cfg.percentile)
         if not len(neg_pts):
             flags = ("np-exhausted-by-positives",)
-    return replace(ps, negatives=neg_pts, tau_neg=tau_neg, flags=flags)
+    sources = (MEAN_TAG,) * len(mean_pts) + (UNCERTAINTY_TAG,) * len(uncert_pts)
+    return PromptSet(pos, sources, neg_pts, k, cfg.seed, cfg.scale, tau_mean, tau_uncert, tau_neg, flags)

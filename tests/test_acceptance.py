@@ -8,14 +8,7 @@ import numpy as np
 
 from maup.cli import main
 from maup.phantom import PhantomSpec, generate_phantom
-from maup.pipeline import (
-    ablation_run,
-    build_export,
-    dice,
-    execute_episode,
-    save_phantom,
-    surrogate_segment,
-)
+from maup.pipeline import ablation_run, build_export, execute_episode
 from maup.prompting import (
     MEAN_TAG,
     PromptConfig,
@@ -35,6 +28,7 @@ from maup.simmaps import (
     percentile_threshold,
     uncertainty_map,
 )
+from maup.surrogate import dice, surrogate_segment
 from maup.tensors import BitMask, FeatureMap, ScalarMap
 
 from oracles import (
@@ -211,15 +205,16 @@ def test_determinism():
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        paths = save_phantom(PhantomSpec(family="two-lobe", contrast=0.5, noise=0.1, seed=13),
-                             tmp / "ph")
+        ph_dir = tmp / "ph"
+        assert main(["phantom", "--family", "two-lobe", "--contrast", "0.5", "--noise", "0.1",
+                     "--seed", "13", "--out", str(ph_dir)]) == 0
         blobs = []
         for run_dir in ("a", "b"):
             assert main([
                 "run",
-                "--support-feat", str(paths["support_features"]),
-                "--support-mask", str(paths["support_mask"]),
-                "--query-feat", str(paths["query_features"]),
+                "--support-feat", str(ph_dir / "support_features.maup"),
+                "--support-mask", str(ph_dir / "support_mask.maup"),
+                "--query-feat", str(ph_dir / "query_features.maup"),
                 "--out", str(tmp / run_dir),
                 "--seed", "13",
             ]) == 0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import maup
 from maup.cli import _config_from_args, build_parser, main, parse_sweep_config
+from maup.phantom import Phantom, PhantomSpec, generate_phantom
 from maup.simmaps import write_pgm
 from maup.tensors import BitMask, load_tensor, save_tensor
 
@@ -217,7 +219,7 @@ class TestRunCommand:
 
 
 class TestPhantomCommand:
-    def test_writes_all_tensors(self, tmp_path):
+    def test_writes_all_tensors(self, tmp_path, capsys):
         out = tmp_path / "ph"
         rc = main(["phantom", "--family", "annulus", "--seed", "3", "--out", str(out)])
         assert rc == 0
@@ -229,6 +231,16 @@ class TestPhantomCommand:
             "query_gt.maup",
             "query_intensity.maup",
         }
+        ph = generate_phantom(PhantomSpec("annulus", seed=3))
+        order = [f.name for f in fields(Phantom)]
+        for name in order:
+            want = getattr(ph, name)
+            got = load_tensor(out / f"{name}.maup")
+            assert type(got) is type(want)
+            (want_arr,), (got_arr,) = (tuple(vars(t).values()) for t in (want, got))
+            assert (got_arr.dtype, got_arr.shape) == (want_arr.dtype, want_arr.shape)
+            assert got_arr.tobytes() == want_arr.tobytes()
+        assert capsys.readouterr().out == "".join(f"wrote {name}: {out / name}.maup\n" for name in order)
 
     def test_unknown_family_exits_one(self):
         with pytest.raises(SystemExit) as exc:

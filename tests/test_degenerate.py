@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import maup.pipeline as pl
 from maup.errors import MaupError
 from maup.phantom import Phantom, PhantomSpec
-from maup.pipeline import AblationRow, ablation_run, build_export, dice, execute_episode, surrogate_segment
+from maup.pipeline import AblationRow, ablation_run, build_export, execute_episode
 from maup.prompting import PromptConfig, to_image_xy
+from maup.surrogate import dice, surrogate_segment
 from maup.tensors import BitMask, FeatureMap, ScalarMap
 
 TOGGLES = [(True, False, False), (False, True, True), (True, True, True)]

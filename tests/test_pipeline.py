@@ -3,7 +3,7 @@ import itertools
 import json
 import traceback
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import maup.regions as rg
 import maup.simmaps as sm
 from maup.cli import _cmd_run, build_parser, main
 from maup.errors import ConfigError, EmptyMaskError, FormatError, MaupError, ShapeError, SpecError
-from maup.phantom import FAMILIES, PhantomSpec, generate_phantom
+from maup.phantom import FAMILIES, Phantom, PhantomSpec, generate_phantom
 from maup.pipeline import (
     AblationReport,
     AblationRow,
@@ -29,16 +29,13 @@ from maup.pipeline import (
     Support,
     ablation_run,
     build_export,
-    dice,
     execute_episode,
     prepare_support,
     query_maps,
-    save_phantom,
-    surrogate_segment,
 )
 from maup.prompting import MEAN_TAG, UNCERTAINTY_TAG, PromptConfig, PromptSet, generate_prompts, to_image_xy
 from maup.simmaps import candidate_mask
-from maup.surrogate import component_table, kept_components, label_components, table_dice
+from maup.surrogate import component_table, dice, kept_components, label_components, surrogate_segment, table_dice
 from maup.tensors import BitMask, FeatureMap, ScalarMap, save_tensor
 
 from oracles import (
@@ -413,10 +410,14 @@ class TestRunEpisode:
             *extra,
         ]
 
+    @staticmethod
+    def write_phantom(out_dir, *flags):
+        """``maup phantom --family disk`` with ``flags`` into ``out_dir``; its file paths by field."""
+        assert main(["phantom", "--family", "disk", *flags, "--out", str(out_dir)]) == 0
+        return {f.name: out_dir / f"{f.name}.maup" for f in fields(Phantom)}
+
     def run_disk_episode(self, tmp_path, *extra, seed=7):
-        paths = save_phantom(
-            PhantomSpec(family="disk", contrast=1.0, noise=0.0, seed=seed), tmp_path / "ph"
-        )
+        paths = self.write_phantom(tmp_path / "ph", "--contrast", "1.0", "--noise", "0.0", "--seed", str(seed))
         gt = ("--query-gt", str(paths["query_gt"]))
         assert main(self.run_args(paths, tmp_path / "out", "--seed", str(seed), *gt, *extra)) == 0
         return tmp_path / "out" / "prompts.json"
@@ -444,7 +445,7 @@ class TestRunEpisode:
         assert json.loads(prompts_path.read_text())["negatives"] == []
 
     def test_heatmaps_written_on_request(self, tmp_path):
-        paths = save_phantom(PhantomSpec(family="disk", seed=2), tmp_path / "ph")
+        paths = self.write_phantom(tmp_path / "ph", "--seed", "2")
         assert main(self.run_args(paths, tmp_path / "out", "--seed", "2", "--heatmaps")) == 0
         for name in ("mean.pgm", "uncertainty.pgm", "negative.pgm"):
             assert (tmp_path / "out" / name).exists()
@@ -455,20 +456,20 @@ class TestRunEpisode:
             _cmd_run(build_parser().parse_args(self.run_args(nope, tmp_path / "out")))
 
     def test_wrong_tensor_type_carries_stage_context(self, tmp_path):
-        paths = save_phantom(PhantomSpec(family="disk", seed=2), tmp_path / "ph")
+        paths = self.write_phantom(tmp_path / "ph", "--seed", "2")
         args = self.run_args(paths, tmp_path / "out", support_feat="support_mask")  # mask in the features slot
         with pytest.raises(FormatError, match="support features"):
             _cmd_run(build_parser().parse_args(args))
 
     def test_corrupt_file_carries_stage_context(self, tmp_path):
-        paths = save_phantom(PhantomSpec(family="disk", seed=2), tmp_path / "ph")
+        paths = self.write_phantom(tmp_path / "ph", "--seed", "2")
         bad = tmp_path / "ph" / "query_features.maup"
         bad.write_bytes(bad.read_bytes()[:10])  # truncate mid-header
         with pytest.raises(FormatError, match="query features"):
             _cmd_run(build_parser().parse_args(self.run_args(paths, tmp_path / "out")))
 
     def test_misaligned_gt_rejected(self, tmp_path):
-        paths = save_phantom(PhantomSpec(family="disk", seed=2), tmp_path / "ph")
+        paths = self.write_phantom(tmp_path / "ph", "--seed", "2")
         small_gt = tmp_path / "gt.maup"
         save_tensor(BitMask(np.ones((4, 4), dtype=np.uint8)), small_gt)
         args = self.run_args(paths, tmp_path / "out", "--query-gt", str(small_gt))
@@ -809,8 +810,8 @@ class TestAblation:
         "rounded_cosines",  # one epilogue per row set, less the off row sets that take their sibling's maps
         "label_components",  # one component labelling per (family, seed)
         "component_table",  # one table of component and ground-truth pixel counts per (family, seed)
-        "_positives",  # positive_prompts, one per distinct (maps, mmp, ump)
-        "_select",  # the negatives, per cell
+        "_positives",  # the positives tuple, one per distinct (maps, mmp, ump)
+        "_select",  # the negatives and the one PromptSet, per cell
     ]
     PROMPTING_STAGES = {"_positives", "_select"}  # called by maup.prompting._prompts, so counted there
     EPILOGUES = SHARED_STAGES.index("rounded_cosines")
@@ -961,7 +962,7 @@ class TestAblation:
         for module in (pl, sm):  # the reference reaches the product through maup.simmaps
             monkeypatch.setattr(module, "similarity_scores", nudged)
         monkeypatch.setattr(pl, "rounded_cosines", counted_cosines)
-        monkeypatch.setattr(mp, "_positives", counted)  # positive_prompts with the sweep's memo
+        monkeypatch.setattr(mp, "_positives", counted)  # the positives tuple, with the sweep's memo
         families = [PhantomSpec(family=f, contrast=0.4, noise=0.1) for f in FAMILIES]
         args = (families, SWEEP_TOGGLES, self.NFS, [0])
         ablation_run(*args).write_csv(tmp_path / "got.csv")

@@ -27,8 +27,6 @@ from maup.prompting import (
     generate_prompts,
     kmeans,
     lloyd_cluster,
-    negative_prompts,
-    positive_prompts,
 )
 from maup.simmaps import candidate_mask, percentile_threshold
 from maup.tensors import BitMask, ScalarMap
@@ -245,6 +243,17 @@ def kind_map(rng, shape, kind):
     return ScalarMap(np.asarray(vals, dtype=np.float32))
 
 
+def positives_only(mean, uncert, cfg, seed):
+    """The set of the positive paths alone, drawn from ``seed``: no negatives, tau_neg or flags."""
+    positives = mp._positives({}, mean, uncert, cfg, seed)
+    return mp._select({}, positives, None, dataclasses.replace(cfg, np=False), None)
+
+
+def negatives_of(neg_map, positives, n_neg, seed, percentile):
+    """``_negatives`` on a fresh memo, the positives any sequence of (row, col) pairs."""
+    return mp._negatives({}, neg_map, np.asarray(positives, np.int64).reshape(-1, 2), n_neg, seed, percentile)
+
+
 def scalar(arr):
     return ScalarMap(np.asarray(arr, dtype=np.float32))
 
@@ -351,7 +360,7 @@ class TestAdaptiveK:
         rng = np.random.default_rng(0)
         noise = ScalarMap(rng.standard_normal((32, 32)).astype(np.float32))
         cfg = PromptConfig(mmp=True, ump=False, np=False, gamma=1e308, percentile=50)
-        assert positive_prompts(noise, noise, cfg, 0).k_used == cfg.n_max
+        assert positives_only(noise, noise, cfg, 0).k_used == cfg.n_max
 
     @pytest.mark.parametrize("gamma", [1e-300, 0.3, 5.0, 1e6, 1e300])
     @pytest.mark.parametrize("c", [0.0, 0.11, 1.37, 2.0])
@@ -553,7 +562,7 @@ class TestPositivePrompts:
         cfg = PromptConfig(mmp=False, ump=True, np=False, seed=0)
         mean = scalar(np.zeros((6, 6)))
         uncert = scalar(np.zeros((6, 6)))
-        ps = positive_prompts(mean, uncert, cfg, 0)
+        ps = positives_only(mean, uncert, cfg, 0)
         assert (ps.k_used, ps.tau_mean, ps.tau_uncert) == (0, None, 0.0)
         assert ps.sources.count(MEAN_TAG) == 0
         assert ps.sources == (UNCERTAINTY_TAG,) * 2 and len(set(as_points(ps.positives))) == 2
@@ -564,7 +573,7 @@ class TestPositivePrompts:
         mean = hot_map(12, 12, peak)
         uncert = scalar(np.zeros((12, 12)))
         cfg = PromptConfig(mmp=True, ump=False, np=False, seed=1)
-        ps = positive_prompts(mean, uncert, cfg, 1)
+        ps = positives_only(mean, uncert, cfg, 1)
         tau = percentile_threshold(mean, cfg.percentile)
         assert (ps.tau_mean, ps.tau_uncert) == (tau, None)
         q_mean = set(as_points(np.argwhere(candidate_mask(mean, tau, "mean"))))
@@ -575,7 +584,7 @@ class TestPositivePrompts:
         mean = hot_map(20, 20, [(y, x) for y in range(2, 6) for x in range(2, 6)])
         uncert = hot_map(20, 20, [(y, x) for y in range(14, 18) for x in range(14, 18)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=3)
-        ps = positive_prompts(mean, uncert, cfg, 3)
+        ps = positives_only(mean, uncert, cfg, 3)
         tau = percentile_threshold(mean, cfg.percentile)
         expected_k = adaptive_k(complexity(mean.values >= tau), cfg)
         assert ps.sources.count(MEAN_TAG) == ps.k_used == expected_k
@@ -585,11 +594,11 @@ class TestPositivePrompts:
     def test_both_paths_disabled(self):
         cfg = PromptConfig(mmp=False, ump=False, np=True)
         with pytest.raises(ConfigError):
-            positive_prompts(scalar(np.zeros((4, 4))), scalar(np.zeros((4, 4))), cfg, 0)
+            positives_only(scalar(np.zeros((4, 4))), scalar(np.zeros((4, 4))), cfg, 0)
 
     def test_map_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            positive_prompts(scalar(np.zeros((4, 4))), scalar(np.zeros((5, 5))), PromptConfig(), 0)
+            positives_only(scalar(np.zeros((4, 4))), scalar(np.zeros((5, 5))), PromptConfig(), 0)
 
     def test_uncertainty_skipped_when_not_enough_free_candidates(self):
         # mean path takes all three hot pixels; uncertainty shares them plus one
@@ -597,7 +606,7 @@ class TestPositivePrompts:
         mean = hot_map(6, 6, hot)
         uncert = hot_map(6, 6, hot + [(5, 5)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=0)
-        ps = positive_prompts(mean, uncert, cfg, 0)
+        ps = positives_only(mean, uncert, cfg, 0)
         assert UNCERTAINTY_TAG not in ps.sources
         assert set(as_points(ps.positives)) == set(hot)
 
@@ -606,8 +615,8 @@ class TestPositivePrompts:
         mean = hot_map(6, 6, hot)
         uncert = hot_map(6, 6, hot + [(4, 4), (5, 5)])
         cfg = PromptConfig(mmp=True, ump=True, np=False, seed=9)
-        out1 = positive_prompts(mean, uncert, cfg, 9)
-        out2 = positive_prompts(mean, uncert, cfg, 9)
+        out1 = positives_only(mean, uncert, cfg, 9)
+        out2 = positives_only(mean, uncert, cfg, 9)
         assert fields_of(out1) == fields_of(out2)
         assert out1.sources[-2:] == (UNCERTAINTY_TAG,) * 2
         assert set(as_points(out1.positives[-2:])) == {(4, 4), (5, 5)}
@@ -622,7 +631,7 @@ class TestPositivePrompts:
         uncert = hot_map(12, 12, hot + free)
         cfg = PromptConfig(mmp=True, ump=True, np=False, gamma=100.0, seed=0)
         for seed in range(200):
-            ps = positive_prompts(mean, uncert, cfg, seed)
+            ps = positives_only(mean, uncert, cfg, seed)
             assert ps.sources == (MEAN_TAG,) * 10 + (UNCERTAINTY_TAG,) * 2
             assert set(as_points(ps.positives[10:])) == set(free)
 
@@ -631,7 +640,7 @@ class TestNegativePrompts:
     def test_constant_map_spreads_three(self):
         neg = scalar(np.zeros((8, 8)))
         positives = [(0, 0), (1, 1)]
-        out, tau = negative_prompts(neg, positives, 3, 0, 95.0)
+        out, tau = negatives_of(neg, positives, 3, 0, 95.0)
         assert tau == 0.0
         assert len(out) == 3
         assert not set(as_points(out)) & set(positives)
@@ -642,7 +651,7 @@ class TestNegativePrompts:
         ring = (d2 >= 16) & (d2 <= 36)
         vals = np.where(ring, 0.9, -0.2).astype(np.float32)
         neg = ScalarMap(vals)
-        out, _ = negative_prompts(neg, [(8, 8)], 3, 1, 95.0)
+        out, _ = negatives_of(neg, [(8, 8)], 3, 1, 95.0)
         assert len(out) == 3
         for r, c in as_points(out):
             assert ring[r, c]
@@ -651,12 +660,8 @@ class TestNegativePrompts:
         vals = np.zeros((4, 4), dtype=np.float32)
         vals[0, 0] = vals[0, 1] = 1.0
         neg = ScalarMap(vals)
-        out, tau = negative_prompts(neg, [(0, 0), (0, 1)], 3, 0, 95.0)
+        out, tau = negatives_of(neg, [(0, 0), (0, 1)], 3, 0, 95.0)
         assert as_points(out) == [] and tau == 1.0
-
-    def test_bad_n_neg(self):
-        with pytest.raises(ConfigError):
-            negative_prompts(scalar(np.zeros((4, 4))), [], 0, 0, 95.0)
 
     def test_prompt_set_rejects_overlap(self):
         with pytest.raises(OverlapError, match="positive and negative prompts overlap") as exc:
@@ -678,7 +683,7 @@ class TestNegativePrompts:
         rng = np.random.default_rng(6)
         neg = ScalarMap(rng.standard_normal((12, 12)).astype(np.float32) * 0.3)
         positives = [(0, 0)]
-        out, tau_neg = negative_prompts(neg, positives, 3, 2, 95.0)
+        out, tau_neg = negatives_of(neg, positives, 3, 2, 95.0)
         tau = percentile_threshold(neg, 95.0)
         assert tau_neg == tau
         q_neg = set(as_points(np.argwhere(candidate_mask(neg, tau, "negative"))))
@@ -748,6 +753,34 @@ class TestGeneratePrompts:
         a = generate_prompts(mean, uncert, neg, cfg)
         b = generate_prompts(mean, uncert, neg, cfg)
         assert fields_of(a) == fields_of(b)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        shape=_SHAPES,
+        kinds=st.tuples(*[st.sampled_from(_KINDS)] * 3),
+        toggles=st.sampled_from([(True, True), (True, False), (False, True)]),
+        pct=st.floats(0.001, 99.999),
+        n_neg=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_negative_path_leaves_the_positives_alone(self, shape, kinds, toggles, pct, n_neg, seed):
+        # np on with a periphery map, np on without one, and np off select the same
+        # positives: what lets a sweep's np-on and np-off cells share one positives tuple
+        rng = np.random.default_rng(seed)
+        mean, uncert, neg = (kind_map(rng, shape, kind) for kind in kinds)
+        mmp, ump = toggles
+        cfg = PromptConfig(mmp=mmp, ump=ump, percentile=pct, n_neg=n_neg, n_min=1, n_max=12, seed=seed, scale=1)
+
+        def positives(neg_map, cfg):
+            try:
+                ps = generate_prompts(mean, uncert, neg_map, cfg)
+            except MaupError as e:
+                return type(e).__name__, str(e)
+            return as_points(ps.positives), ps.sources, ps.k_used, exact(ps.tau_mean), exact(ps.tau_uncert)
+
+        with_map = positives(neg, cfg)
+        assert positives(None, cfg) == with_map
+        assert positives(neg, dataclasses.replace(cfg, np=False)) == with_map
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -893,7 +926,7 @@ class TestListReference:
         positives = list(zip(rows, cols))
         n_cand = len(candidates_reference(neg, percentile_reference(neg, pct), "negative"))
         n_neg = 1 + int(n_neg_share * n_cand)
-        got, tau = negative_prompts(neg, np.array(positives, dtype=np.int64), n_neg, seed, pct)
+        got, tau = negatives_of(neg, np.array(positives, dtype=np.int64), n_neg, seed, pct)
         want, want_tau = negative_reference(neg, positives, n_neg, seed, pct)
         assert as_points(got) == want
         assert exact(tau) == exact(want_tau)
