@@ -1,6 +1,6 @@
 """Command-line entry points: run, phantom, ablate.
 
-Exit codes: 0 success, 1 usage error, 2 data/processing error.
+Exit codes: 0 success, 1 usage error, 2 data/processing error or out of memory.
 """
 
 from __future__ import annotations
@@ -216,6 +216,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (MaupError, OSError) as e:
         sys.stderr.write(f"maup {args.command}: error: {e}\n")
+        return 2
+    except MemoryError as e:  # numpy's text names the allocation; Python's own is empty
+        sys.stderr.write(f"maup {args.command}: error: out of memory{f': {e}' if str(e) else ''}\n")
         return 2
 
 

@@ -50,6 +50,8 @@ class PhantomSpec:
             raise SpecError(f"size must be >= 16, got {self.size}")
         if self.channels < 3:
             raise SpecError(f"need >= 3 channels for the cluster basis, got {self.channels}")
+        if self.channels * self.size**2 > np.iinfo(np.intp).max:
+            raise SpecError(f"channels x size^2 exceeds numpy's index limit: {self.channels} x {self.size}^2")
         if not 0.0 < self.contrast <= 1.0:
             raise SpecError(f"contrast must be in (0, 1], got {self.contrast}")
         if not 0.0 <= self.noise < math.inf:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
 
 import numpy as np
 
@@ -30,21 +29,8 @@ class StructuringElement:
             raise ConfigError(f"radius must be >= 1, got {self.radius}")
 
     @classmethod
-    @cache  # one element per radius
     def disk(cls, radius: int) -> "StructuringElement":
         return cls(radius=radius)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
-        """(dxs, dys) pairs: each distinct set of dx and the dy values whose offsets use it.
-
-        Each dxs is a run [-half, half]; the pairs come in increasing half-width.
-        """
-        by_half: dict[int, tuple[int, ...]] = {}  # row dy of the disk spans dx in [-half, half]
-        for dy in range(-self.radius, self.radius + 1):
-            half = math.isqrt(self.radius**2 - dy * dy)
-            by_half[half] = by_half.get(half, ()) + (dy,)
-        return tuple((frozenset(range(-half, half + 1)), dys) for half, dys in by_half.items())
 
 
 def farthest_point_seeds(fg: BitMask, n: int, seed) -> np.ndarray:
@@ -123,24 +109,23 @@ def voronoi_labels(fg: BitMask, d2: np.ndarray) -> np.ndarray:
 def dilate(m: BitMask, se: StructuringElement) -> BitMask:
     """Morphological dilation: out(y,x) = 1 iff some offset hits a set pixel.
 
-    Reads outside the frame count as 0, so the output never wraps. The
-    horizontal runs of ``se.rows`` are built in order of half-width, each
-    from the last by two shifted ORs per step, and each run is shifted
-    vertically once per ``dy`` that uses it.
+    Reads outside the frame count as 0, so the output never wraps. The rows
+    ``dy`` of the disk come outermost first; row ``dy`` is the horizontal run
+    ``|dx| <= isqrt(r^2 - dy^2)``, widened from the last row's run by two
+    shifted ORs per step and ORed into the output shifted by ``dy``.
     """
     h, w = m.height, m.width
     # offsets that stay in the frame all lie within this radius, so a larger disk sets the same bits
-    se = StructuringElement.disk(min(se.radius, math.isqrt((h - 1) ** 2 + (w - 1) ** 2) + 1))
+    r = min(se.radius, math.isqrt((h - 1) ** 2 + (w - 1) ** 2) + 1)
     out = np.zeros_like(m.bits)
     band, half = m.bits.copy(), 0  # the run of half-width 0: dx = 0 alone
-    for dxs, dys in se.rows:  # dxs is [-half, half], half-widths increasing
-        for half in range(half + 1, max(dxs) + 1):
+    for dy in sorted(range(-r, r + 1), key=abs, reverse=True):  # half-widths never shrink
+        for half in range(half + 1, math.isqrt(r * r - dy * dy) + 1):
             band[:, half:] |= m.bits[:, :-half]
             band[:, :-half] |= m.bits[:, half:]
-        for dy in dys:
-            y0, y1 = max(0, dy), h + min(0, dy)
-            if y0 < y1:
-                out[y0:y1] |= band[y0 - dy : y1 - dy]
+        y0, y1 = max(0, dy), h + min(0, dy)
+        if y0 < y1:
+            out[y0:y1] |= band[y0 - dy : y1 - dy]
     return BitMask(out)
 
 

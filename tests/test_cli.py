@@ -379,9 +379,19 @@ class TestBadValuesExitTwo:
         self.assert_one_line_error(proc, "run", word)
         assert not (tmp_path / "out").exists()
 
-    def test_phantom_negative_seed(self, tmp_path):
-        proc = run_cli_process(["phantom", "--family", "disk", "--seed", "-1", "--out", str(tmp_path / "ph")])
-        self.assert_one_line_error(proc, "phantom", "seed")
+    @pytest.mark.parametrize(
+        "flags, word",
+        [
+            (("--seed", "-1"), "seed"),
+            (("--size", "1" + "0" * 30), "size"),  # past numpy's array index limit
+            (("--channels", "1" + "0" * 30), "channels"),
+            (("--channels", "1" + "0" * 14), "out of memory"),  # petabytes: numpy fails before allocating
+        ],
+        ids=["negative-seed", "unindexable-size", "unindexable-channels", "unallocatable-channels"],
+    )
+    def test_phantom(self, tmp_path, flags, word):
+        proc = run_cli_process(["phantom", "--family", "disk", *flags, "--out", str(tmp_path / "ph")])
+        self.assert_one_line_error(proc, "phantom", word)
         assert not (tmp_path / "ph").exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
@@ -412,9 +422,12 @@ class TestBadValuesExitTwo:
             ("families = disk\nseeds = 1\nnoise = nan\n", ("noise",)),
             ("families = disk\nseeds = 0\n", ("seed",)),
             ("families = disk\nseeds = 3..1\n", ("seed",)),
+            ("families = disk\nchannels = 100000000000000\n", ("out of memory", "PiB")),
+            ("families = disk\nseeds = 0..1000000000000000\n", ("out of memory",)),
         ],
         ids=["negative-seeds", "inf-gamma", "misspelt-key", "per-cell-key", "nan-threshold",
-             "inf-threshold", "nan-noise", "zero-seeds", "empty-seed-range"],
+             "inf-threshold", "nan-noise", "zero-seeds", "empty-seed-range", "unallocatable-channels",
+             "unallocatable-seed-list"],
     )
     def test_ablate(self, tmp_path, text, words):
         cfg = tmp_path / "sweep.cfg"

@@ -62,17 +62,6 @@ class TestStructuringElement:
         assert (0, 0) in offsets
         assert set(offsets) == {(-dy, -dx) for dy, dx in offsets}
 
-    def test_disk_built_once_per_radius(self):
-        assert StructuringElement.disk(5) is StructuringElement.disk(5)
-        assert StructuringElement.disk(4) is not StructuringElement.disk(5)
-
-    @pytest.mark.parametrize("r", [1, 2, 3, 5])
-    def test_rows_regroup_every_offset(self, r):
-        se = StructuringElement.disk(r)
-        regrouped = [(dy, dx) for dxs, dys in se.rows for dy in dys for dx in dxs]
-        assert sorted(regrouped) == sorted(disk_offsets(r))
-        assert len({dxs for dxs, _ in se.rows}) == len(se.rows)  # each set of shifts once
-
     def test_bad_radius(self):
         with pytest.raises(ConfigError):
             StructuringElement.disk(0)
@@ -82,7 +71,6 @@ class TestStructuringElement:
             StructuringElement(radius=1, offsets=((0, 0), (0, 1)))
         with pytest.raises(FrozenInstanceError):
             StructuringElement.disk(1).offsets = ((0, 0),)
-        assert StructuringElement(radius=3).rows == StructuringElement.disk(3).rows
 
 
 class TestFarthestPointSeeds:
@@ -301,12 +289,10 @@ class TestDilate:
             assert np.array_equal(dilate(m, se).bits, want), r
 
     def test_large_radius_builds_no_large_disk(self):
-        # each distinct row of a disk is one Python set of 2*half+1 ints, so the
-        # element's rows cost time and memory quadratic in its radius
+        # dilate clamps the radius to the frame's diagonal, so a huge disk walks no more rows
+        # than one that just covers a 32x32 frame, and sets the same bits
         m = random_mask(7, 32, 32)
-        se = StructuringElement(radius=3200)  # not the cached disk(3200)
-        out = dilate(m, se)
-        assert "rows" not in vars(se)
+        out = dilate(m, StructuringElement(radius=3200))
         assert np.array_equal(out.bits, dilate(m, StructuringElement.disk(45)).bits)
 
     def test_extensive_and_increasing(self):
