@@ -153,16 +153,22 @@ def _cmd_phantom(args) -> int:
 
 
 def parse_sweep_config(path) -> dict:
-    """Parse the flat key=value sweep file (comments start with '#')."""
+    """Parse the flat key=value UTF-8 sweep file (comments start with '#'); each key is set once."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MaupError(f"{path}: not UTF-8: {e}") from e
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise MaupError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise MaupError(f"{path}:{lineno}: key {key!r} is set twice")
+        values[key] = val
     return values
 
 
@@ -198,7 +204,7 @@ def _cmd_ablate(args) -> int:
     try:
         nf_values = [int(t) for t in raw.get("nf", "").split(",") if t.strip()]
         seeds = _parse_seeds(raw.get("seeds", "1"))
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: a list too long to hold
         raise MaupError(f"{args.config}: bad sweep list: {e}") from e
     base = PromptConfig(**_field_values(PromptConfig, PROMPT_FLAGS, given, args.config))
     report = ablation_run(families, toggles, nf_values=nf_values, seeds=seeds, base_config=base)

@@ -79,29 +79,33 @@ def _disk_mask(size: int, cy: float, cx: float, ry: float, rx: float) -> np.ndar
 def _scene_masks(spec: PhantomSpec, cy, cx, radius, lobe_dx):
     """Organ and decoy masks for one scene; decoy is empty except two-lobe."""
     size = spec.size
+    decoy = np.zeros((size, size), dtype=bool)
     if spec.family == "disk":
         organ = _disk_mask(size, cy, cx, radius, radius)
-        decoy = np.zeros((size, size), dtype=bool)
     elif spec.family == "ellipse":
         organ = _disk_mask(size, cy, cx, 0.8 * radius, 1.25 * radius)
-        decoy = np.zeros((size, size), dtype=bool)
     elif spec.family == "annulus":
         outer = _disk_mask(size, cy, cx, 1.15 * radius, 1.15 * radius)
         inner = _disk_mask(size, cy, cx, 0.5 * 1.15 * radius, 0.5 * 1.15 * radius)
         organ = outer & ~inner
-        decoy = np.zeros((size, size), dtype=bool)
     else:  # two-lobe
         organ = _disk_mask(size, cy, cx - lobe_dx, radius, radius)
         decoy = _disk_mask(size, cy, cx + lobe_dx, radius, radius)
     return organ, decoy
 
 
-def _paint_features(spec, basis, organ, decoy, band, noise) -> FeatureMap:
-    """The float32 features of a scene: its tissue's basis vector plus the scaled noise, in float64.
+def _scene(spec, basis, noise, cy, cx, radius, lobe_dx) -> tuple[FeatureMap, BitMask, np.ndarray]:
+    """One scene's float32 features, organ mask and decoy.
 
-    Painted a block of channels at a time, so no float64 copy of the whole
+    A feature is its tissue's basis vector plus the scaled noise, in float64,
+    painted a block of channels at a time, so no float64 copy of the whole
     scene is made beside the noise fields.
     """
+    organ, decoy = _scene_masks(spec, cy, cx, radius, lobe_dx)
+    if not organ.any():
+        raise SpecError("organ clipped to an empty mask; loosen the geometry")
+    mask = BitMask(organ.astype(np.uint8))
+    band = periphery_mask(mask, StructuringElement.disk(_BAND_RADIUS)).bits == 1
     mu_fg, mu_peri, mu_bg = basis
     peri = band | decoy  # the decoy is band tissue
     out = np.empty((spec.channels, spec.size, spec.size), dtype=np.float32)
@@ -116,7 +120,7 @@ def _paint_features(spec, basis, organ, decoy, band, noise) -> FeatureMap:
             if spec.noise > 0.0:
                 canvas += spec.noise * noise[block]
             out[block] = canvas
-    return FeatureMap(out)
+    return FeatureMap(out), mask, decoy
 
 
 def _orthonormal_triple(rng, channels: int) -> np.ndarray:
@@ -198,23 +202,12 @@ def paint_phantom(spec: PhantomSpec, draws: PhantomDraws) -> Phantom:
     lobe_dx = 0.21 * size
     (shift_y, shift_x), scale = draws.shift, draws.scale
 
-    s_organ, s_decoy = _scene_masks(spec, cy, cx, radius, lobe_dx)
-    q_organ, q_decoy = _scene_masks(
-        spec, cy + shift_y, cx + shift_x, radius * scale, lobe_dx * scale
-    )
-    if not s_organ.any() or not q_organ.any():
-        raise SpecError("organ clipped to an empty mask; loosen the geometry")
-
-    support_mask, query_gt = BitMask(s_organ.astype(np.uint8)), BitMask(q_organ.astype(np.uint8))
-    se = StructuringElement.disk(_BAND_RADIUS)
-    s_band = periphery_mask(support_mask, se).bits == 1
-    q_band = periphery_mask(query_gt, se).bits == 1
-
     s_noise, q_noise = draws.noise if spec.noise > 0.0 else (None, None)
-    support_features = _paint_features(spec, basis, s_organ, s_decoy, s_band, s_noise)
-    query_features = _paint_features(spec, basis, q_organ, q_decoy, q_band, q_noise)
-
-    intensity = (q_organ | q_decoy).astype(np.float32)
+    support_features, support_mask, _ = _scene(spec, basis, s_noise, cy, cx, radius, lobe_dx)
+    query_features, query_gt, q_decoy = _scene(
+        spec, basis, q_noise, cy + shift_y, cx + shift_x, radius * scale, lobe_dx * scale
+    )
+    intensity = (query_gt.bits | q_decoy).astype(np.float32)
     return Phantom(
         support_features=support_features,
         support_mask=support_mask,

@@ -424,14 +424,19 @@ class TestBadValuesExitTwo:
             ("families = disk\nseeds = 3..1\n", ("seed",)),
             ("families = disk\nchannels = 100000000000000\n", ("out of memory", "PiB")),
             ("families = disk\nseeds = 0..1000000000000000\n", ("out of memory",)),
+            (b"families = disk\nseeds = 1  # \xff\n", ("sweep.cfg", "not UTF-8")),
+            ("families = disk\nnf = 1, 5\nnf = 30\n", ("sweep.cfg:3", "key 'nf' is set twice")),
+            ("families = disk\nseeds = 100000000000000000000\n", ("bad sweep list",)),  # past ssize_t
+            ("families = disk\nseeds = 0..100000000000000000000\n", ("bad sweep list",)),
         ],
         ids=["negative-seeds", "inf-gamma", "misspelt-key", "per-cell-key", "nan-threshold",
              "inf-threshold", "nan-noise", "zero-seeds", "empty-seed-range", "unallocatable-channels",
-             "unallocatable-seed-list"],
+             "unallocatable-seed-list", "non-utf8-bytes", "repeated-key", "huge-seed-count",
+             "huge-seed-range"],
     )
     def test_ablate(self, tmp_path, text, words):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         proc = run_cli_process(["ablate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         self.assert_one_line_error(proc, "ablate", *words)
         assert not (tmp_path / "r.csv").exists()
